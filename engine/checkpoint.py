@@ -7,15 +7,42 @@ SURVEY.md §4.2 items 4-5.
 Layout (resumable output — one directory per partition, never one giant file):
 
     out_dir/
-      part-00007/*.parquet          extracted rows of partition 7
-      _manifest/part-00007.json     lineage + metrics, written AFTER the data
+      part-00007/[bucket=K/]*.parquet  extracted rows of partition 7
+      _manifest/part-00007.json        lineage + metrics, written AFTER data
 
 Partitions are **file-granular**: the input parquet files are split into
-``num_partitions`` contiguous groups, so each partition re-reads only its own
-files on retry (no P× re-scan of the whole input). Atomicity: data is written
-to ``part-NNNNN.tmp`` then renamed; the manifest is written tmp+rename after
-the data rename — a crash at any point leaves either a complete committed
-partition or an ignorable tmp dir.
+``num_partitions`` contiguous groups, so a resume re-reads only the files of
+the partitions it still owes.
+
+Execution is ONE streaming Dataset over every pending partition, so the fixed
+cost of a Ray execution (planning, read and write task start-up, stats round
+trips) is paid once per run, not once per partition:
+
+    read_parquet(every pending file, include_paths=True)
+      → extract stage (carries the ``path`` column through)
+      → write stage, fused into the same task: splits each block by
+        (partition, url-hash bucket), writes each group to
+        ``part-P.tmp/[bucket=K/]<task>-<seq>.parquet`` and returns only a
+        small (partition, rows, rows_ok) count table — extracted rows never
+        enter the object store
+      → driver: sums the count table as it streams; when partition P's rows
+        reach its input's Parquet-footer row count, renames ``part-P.tmp`` to
+        ``part-P``, then writes P's manifest.
+
+Atomicity: a crash at any point leaves each partition either committed (data
+dir + manifest) or not done (a ``.tmp`` dir, or a data dir with no manifest),
+which the next run wipes before it writes. Output file names are
+deterministic per (task, block), so a retried Ray task overwrites its own
+files instead of duplicating rows.
+
+Row-count guard: a partition whose streamed rows exceed its footer count, or
+fall short of it when the stream ends, raises and is never committed (one
+already committed is retracted, manifest first).
+
+Manifest: ``rows_in``/``rows_ok``/``rows_err`` are the write stage's counts
+(no re-read of the committed ``status`` column). ``wall_s`` is the seconds
+from the start of the run to that partition's commit — partitions share one
+execution, so their walls overlap rather than add up.
 
 On resume, completed partitions are skipped via the manifest 'done' set — the
 §2.5 anti-join, implemented as a driver-side broadcast set because the
@@ -29,6 +56,7 @@ import os
 import shutil
 import time
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
@@ -37,36 +65,6 @@ import ray.data
 
 from engine.pipeline import PipelineConfig, extract_pages
 from engine.schema import MANIFEST
-
-
-def _settle_fsspec_http_import() -> None:
-    """Ray's parquet path resolution probes ``fsspec.implementations.http``
-    on every read/write. With aiohttp absent that import always fails —
-    harmlessly (ModuleNotFoundError → "not http") when sequential, but two
-    run_extraction partitions resolving paths CONCURRENTLY can race the
-    retried import and leave a half-initialized module in sys.modules,
-    after which every later call in the process dies with a bare
-    ImportError Ray doesn't catch. Settle it once at import time: if the
-    dependency is missing, register a minimal stub whose sentinel class
-    keeps Ray's isinstance() checks returning False."""
-    try:
-        from fsspec.implementations.http import HTTPFileSystem  # noqa: F401
-    except ModuleNotFoundError:
-        import sys
-        import types
-
-        mod = types.ModuleType("fsspec.implementations.http")
-
-        class HTTPFileSystem:  # sentinel — nothing is ever an instance
-            pass
-
-        mod.HTTPFileSystem = HTTPFileSystem
-        sys.modules["fsspec.implementations.http"] = mod
-    except ImportError:
-        pass  # already settled by an earlier racer; leave it alone
-
-
-_settle_fsspec_http_import()
 
 
 def plan_partitions(input_paths: list[str], num_partitions: int) -> list[list[str]]:
@@ -128,15 +126,88 @@ def _parquet_files(root: str) -> list[str]:
     return sorted(out)
 
 
-def _partition_metrics(pdir: str) -> tuple[int, int, int]:
-    """(rows, rows_ok, rows_err) from the committed partition files —
-    column-pruned read of just 'status'."""
-    rows = ok = 0
-    for path in _parquet_files(pdir):
-        t = pq.read_table(path, columns=["status"])
-        rows += t.num_rows
-        ok += pc.sum(pc.cast(pc.equal(t["status"], "ok"), pa.int64())).as_py() or 0
-    return rows, ok, rows - ok
+# what the write stage returns per block: rows written per partition
+_COUNTS = pa.schema([
+    pa.field("partition", pa.int32()),
+    pa.field("rows", pa.int64()),
+    pa.field("rows_ok", pa.int64()),
+])
+
+
+def _footer_rows(files: list[str]) -> int:
+    return sum(pq.read_metadata(f).num_rows for f in files)
+
+
+def _write_block(block: pa.Table, out_dir: str, part_of: dict[str, int],
+                 url_hash_buckets: int) -> pa.Table:
+    """The write stage: one Parquet file per (block, partition, bucket) under
+    ``part-P.tmp/``, named by the task index and the block's sequence number
+    within the task — deterministic, so a retried task overwrites its own
+    files. Returns only the block's per-partition counts (_COUNTS)."""
+    from ray.data._internal.execution.interfaces.task_context import \
+        TaskContext
+
+    from engine.partition import add_url_hash_batch
+
+    ctx = TaskContext.get_current()  # fresh per task attempt
+    seq = ctx.kwargs.get("checkpoint_block_seq", 0)
+    ctx.kwargs["checkpoint_block_seq"] = seq + 1
+    fname = f"{ctx.task_idx:05d}-{seq:05d}.parquet"
+
+    paths = block["path"].combine_chunks().dictionary_encode()
+    pid_of_path = np.array([part_of[p] for p in paths.dictionary.to_pylist()],
+                           dtype=np.int32)
+    pids = pid_of_path[paths.indices.to_numpy()]
+    data = block.drop_columns(["path"])
+    if url_hash_buckets:
+        data = add_url_hash_batch(data, num_buckets=url_hash_buckets)
+    ok = pc.equal(data["status"], "ok").to_numpy()
+
+    counts = {name: [] for name in _COUNTS.names}
+    for pid in np.unique(pids):
+        mask = pids == pid
+        part = data.filter(mask)
+        tmp_dir = part_dir(out_dir, int(pid)) + ".tmp"
+        groups = [(tmp_dir, part)]
+        if url_hash_buckets:
+            groups = [(os.path.join(tmp_dir, f"bucket={b}"),
+                       part.filter(pc.equal(part["bucket"], b))
+                           .drop_columns(["bucket"]))
+                      for b in pc.unique(part["bucket"]).to_pylist()]
+        for group_dir, group in groups:
+            os.makedirs(group_dir, exist_ok=True)
+            pq.write_table(group, os.path.join(group_dir, fname))
+        counts["partition"].append(int(pid))
+        counts["rows"].append(part.num_rows)
+        counts["rows_ok"].append(int(ok[mask].sum()))
+    return pa.table(counts, schema=_COUNTS)
+
+
+def _extract_and_write(part_of: dict[str, int], out_dir: str,
+                       cfg: PipelineConfig,
+                       url_hash_buckets: int) -> "ray.data.Dataset":
+    """read → extract → write over every file in ``part_of``; the extract
+    and write stages fuse into one task, whose output is _COUNTS rows."""
+    pages = ray.data.read_parquet(sorted(part_of), columns=["url", "html"],
+                                  include_paths=True)
+    return extract_pages(pages, cfg, carry=("path",)).map_batches(
+        _write_block,
+        fn_kwargs={"out_dir": out_dir, "part_of": part_of,
+                   "url_hash_buckets": url_hash_buckets},
+        batch_format="pyarrow",
+        batch_size=None,
+        num_cpus=cfg.num_cpus,
+    )
+
+
+def _retract(out_dir: str, pid: int) -> None:
+    """Un-commit a partition: manifest first, so no manifest ever describes
+    missing data."""
+    try:
+        os.remove(_manifest_path(out_dir, pid))
+    except FileNotFoundError:
+        pass
+    shutil.rmtree(part_dir(out_dir, pid), ignore_errors=True)
 
 
 def run_extraction(
@@ -146,22 +217,18 @@ def run_extraction(
     num_partitions: int = 16,
     resume: bool = True,
     url_hash_buckets: int = 0,
-    max_in_flight: int = 2,
 ) -> pa.Table:
     """Checkpointed extraction over parquet shards; returns the manifest table.
 
-    Up to ``max_in_flight`` partitions execute concurrently on this driver
-    (each is internally a fully parallel streaming Dataset; Ray's streaming
-    executors share the cluster's resource manager, so while partition P
-    drains through its write ramp, P+1's read ramp is already filling the
-    pool — strictly sequential partitions idled the cluster at every
-    boundary). Each partition's commit protocol is unchanged and
-    independent: tmp-dir write → rename → manifest-after-data, so crash
-    atomicity and resume semantics are exactly the sequential ones. On a
-    multi-node deployment each partition is one `ray job submit` unit or
-    several drivers share the partition list — the manifest protocol is
-    what coordinates them.
+    Every pending partition runs in one streaming Dataset and is committed on
+    its own the moment its last row is written (module docstring: commit
+    protocol, row-count guard, manifest fields); partitions an earlier run
+    committed are skipped when ``resume`` is true. ``url_hash_buckets > 0``
+    lays each partition out as ``bucket=K/`` directories by url hash
+    (engine.partition, §4.2 item 1) with no shuffle. A failed run raises
+    after committing whatever finished; rerunning it resumes from there.
     """
+    t0 = time.time()
     if isinstance(input_paths, str):
         input_paths = [
             os.path.join(input_paths, n)
@@ -170,69 +237,61 @@ def run_extraction(
         ]
     os.makedirs(_manifest_dir(out_dir), exist_ok=True)
     done = done_partitions(out_dir) if resume else set()
+    todo = {pid: files
+            for pid, files in enumerate(plan_partitions(input_paths,
+                                                        num_partitions))
+            if pid not in done}
+    for pid in todo:  # leftovers of a dead run
+        shutil.rmtree(part_dir(out_dir, pid) + ".tmp", ignore_errors=True)
+        shutil.rmtree(part_dir(out_dir, pid), ignore_errors=True)
+    expected = {pid: _footer_rows(files) for pid, files in todo.items()}
+    written = {pid: [0, 0] for pid in todo}  # rows, rows_ok
 
-    def run_partition(pid: int, files: list[str]) -> None:
-        t0 = time.time()
-        bytes_in = sum(os.path.getsize(f) for f in files)
+    def commit(pid: int) -> None:
         pdir = part_dir(out_dir, pid)
-        tmp_dir = pdir + ".tmp"
-        shutil.rmtree(tmp_dir, ignore_errors=True)
-        shutil.rmtree(pdir, ignore_errors=True)  # partial from a dead run
-
-        pages = ray.data.read_parquet(files, columns=["url", "html"])
-        extracted = extract_pages(pages, cfg)
-        if url_hash_buckets > 0:
-            # §4.2 item 1: url-hash layout inside each checkpoint partition
-            # (engine.partition; no shuffle — tasks append to bucket dirs)
-            from engine.partition import with_url_hash
-
-            with_url_hash(extracted, num_buckets=url_hash_buckets).write_parquet(
-                tmp_dir, partition_cols=["bucket"]
-            )
-        else:
-            extracted.write_parquet(tmp_dir)
-        os.replace(tmp_dir, pdir)
-
-        rows, ok, err = _partition_metrics(pdir)
+        os.makedirs(pdir + ".tmp", exist_ok=True)  # an empty input wrote none
+        os.replace(pdir + ".tmp", pdir)
+        rows, ok = written[pid]
         _atomic_write_json(
             _manifest_path(out_dir, pid),
             {
                 "partition_id": pid,
                 "rows_in": rows,
                 "rows_ok": ok,
-                "rows_err": err,
-                "bytes_in": bytes_in,
+                "rows_err": rows - ok,
+                "bytes_in": sum(os.path.getsize(f) for f in todo[pid]),
                 "wall_s": time.time() - t0,
                 "output_path": pdir,
                 "done": True,
             },
         )
 
-    todo = [(pid, files)
-            for pid, files in enumerate(plan_partitions(input_paths,
-                                                        num_partitions))
-            if pid not in done]
-    if max_in_flight <= 1 or len(todo) <= 1:
-        for pid, files in todo:
-            run_partition(pid, files)
-    else:
-        from concurrent.futures import (FIRST_EXCEPTION, ThreadPoolExecutor,
-                                        wait)
+    for pid in todo:
+        if not expected[pid]:
+            commit(pid)
+    part_of = {os.path.abspath(f): pid for pid, files in todo.items()
+               if expected[pid] for f in files}
+    if not part_of:
+        return manifest_table(out_dir)
 
-        with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
-            # fail fast like the sequential path: on the first partition
-            # failure, cancel every QUEUED partition (pool.map would let
-            # all of them run to completion before re-raising); only the
-            # ≤ max_in_flight already-running ones drain. Completed
-            # partitions stay committed — resume picks up from there.
-            futs = [pool.submit(run_partition, pid, files)
-                    for pid, files in todo]
-            done_f, not_done = wait(futs, return_when=FIRST_EXCEPTION)
-            errs = [f.exception() for f in done_f if f.exception()]
-            if errs:
-                for f in not_done:
-                    f.cancel()
-                raise errs[0]
+    counts = _extract_and_write(part_of, out_dir, cfg, url_hash_buckets)
+    for batch in counts.iter_batches(batch_format="pyarrow", batch_size=None):
+        columns = (batch[name].to_pylist() for name in _COUNTS.names)
+        for pid, rows, ok in zip(*columns):
+            written[pid][0] += rows
+            written[pid][1] += ok
+            if written[pid][0] > expected[pid]:
+                _retract(out_dir, pid)
+                raise RuntimeError(
+                    f"partition {pid}: {written[pid][0]} rows written for "
+                    f"{expected[pid]} input rows")
+            if written[pid][0] == expected[pid]:
+                commit(pid)
+    short = {pid: f"{written[pid][0]}/{expected[pid]}" for pid in todo
+             if written[pid][0] < expected[pid]}
+    if short:
+        raise RuntimeError(f"partitions ended short of their input rows "
+                           f"(written/input): {short}")
     return manifest_table(out_dir)
 
 

@@ -188,9 +188,13 @@ class ExtractActor:
     """
 
     def __init__(self, max_file_size: int = MAX_FILE_SIZE,
-                 row_timeout_s: float = ROW_TIMEOUT_S):
+                 row_timeout_s: float = ROW_TIMEOUT_S,
+                 carry: tuple[str, ...] = ()):
         self.max_file_size = max_file_size
         self.row_timeout_s = row_timeout_s
+        # input columns passed through unchanged after the EXTRACTED ones
+        # (e.g. the read's ``path`` tag that routes checkpointed rows)
+        self.carry = carry
         # Warm every parser path once so per-batch latency is flat.
         extract_row(b"<html><body><p>warm</p></body></html>")
         import engine.fixtures  # noqa: F401  (zlib/zipfile import warm-up)
@@ -206,10 +210,14 @@ class ExtractActor:
                               self.row_timeout_s)
             for key, val in row.items():
                 out[key].append(val)
-        return pa.table(out, schema=EXTRACTED)
+        table = pa.table(out, schema=EXTRACTED)
+        for name in self.carry:
+            table = table.append_column(batch.schema.field(name), batch[name])
+        return table
 
 
 def extract_batch(batch: pa.Table, max_file_size: int = MAX_FILE_SIZE,
-                  row_timeout_s: float = ROW_TIMEOUT_S) -> pa.Table:
+                  row_timeout_s: float = ROW_TIMEOUT_S,
+                  carry: tuple[str, ...] = ()) -> pa.Table:
     """Stateless-task form of the same transform (the default pipeline stage)."""
-    return ExtractActor(max_file_size, row_timeout_s)(batch)
+    return ExtractActor(max_file_size, row_timeout_s, carry)(batch)

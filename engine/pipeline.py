@@ -24,8 +24,12 @@ Scale notes (the 100 TB design, tested single-node):
 - when sizing actor pools, leave CPU headroom for the read/write task
   operators — a pool that reserves every CPU starves the input stage and the
   pipeline deadlocks (observed, not hypothetical).
-- output is written partitioned (one dir per checkpoint partition) by
-  engine.checkpoint.run_extraction, never one giant file.
+- checkpointed output (engine.checkpoint.run_extraction) is ONE streaming
+  pass over every pending partition, never one execution per partition:
+  ``carry=("path",)`` threads the read's file path through the extract
+  stage, and a write stage fused into the same task routes each row to its
+  partition's directory, so extracted rows never enter the object store
+  and each partition still commits (and resumes) on its own.
 """
 
 from __future__ import annotations
@@ -66,14 +70,15 @@ def read_pages(source: str | list[str], columns: list[str] | None = None,
 
 
 def _extract_stage(ds: "ray.data.Dataset", cfg: "PipelineConfig",
-                   batch_size: int, pool_cap: int | None = None
-                   ) -> "ray.data.Dataset":
+                   batch_size: int, pool_cap: int | None = None,
+                   carry: tuple[str, ...] = ()) -> "ray.data.Dataset":
     if cfg.use_actor_pool:
         cap = pool_cap or cfg.max_actors
         return ds.map_batches(
             ExtractActor,
             fn_constructor_kwargs={"max_file_size": cfg.max_file_size,
-                                   "row_timeout_s": cfg.row_timeout_s},
+                                   "row_timeout_s": cfg.row_timeout_s,
+                                   "carry": carry},
             batch_format="pyarrow",
             batch_size=batch_size,
             concurrency=(min(cfg.min_actors, cap), cap),
@@ -82,7 +87,7 @@ def _extract_stage(ds: "ray.data.Dataset", cfg: "PipelineConfig",
     return ds.map_batches(
         extract_batch,
         fn_kwargs={"max_file_size": cfg.max_file_size,
-                   "row_timeout_s": cfg.row_timeout_s},
+                   "row_timeout_s": cfg.row_timeout_s, "carry": carry},
         batch_format="pyarrow",
         batch_size=batch_size,
         num_cpus=cfg.num_cpus,
@@ -90,10 +95,12 @@ def _extract_stage(ds: "ray.data.Dataset", cfg: "PipelineConfig",
 
 
 def extract_pages(pages: "ray.data.Dataset",
-                  cfg: PipelineConfig = PipelineConfig()) -> "ray.data.Dataset":
-    """pages(url, html, ...) → extracted table (EXTRACTED schema)."""
+                  cfg: PipelineConfig = PipelineConfig(),
+                  carry: tuple[str, ...] = ()) -> "ray.data.Dataset":
+    """pages(url, html, ...) → extracted table (EXTRACTED schema, then the
+    ``carry`` input columns unchanged)."""
     if not cfg.skew_split:
-        return _extract_stage(pages, cfg, cfg.batch_size)
+        return _extract_stage(pages, cfg, cfg.batch_size, carry=carry)
 
     thresh = cfg.large_threshold
 
@@ -104,11 +111,13 @@ def extract_pages(pages: "ray.data.Dataset",
         return t.filter(pc.greater(pc.binary_length(t["html"]), thresh))
 
     small = _extract_stage(
-        pages.map_batches(keep_small, batch_format="pyarrow"), cfg, cfg.batch_size
+        pages.map_batches(keep_small, batch_format="pyarrow"), cfg,
+        cfg.batch_size, carry=carry,
     )
     large = _extract_stage(
         pages.map_batches(keep_large, batch_format="pyarrow"), cfg,
         cfg.large_batch_size, pool_cap=max(2, cfg.max_actors // 4),
+        carry=carry,
     )
     return small.union(large)
 

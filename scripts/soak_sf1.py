@@ -67,15 +67,14 @@ def main() -> None:
     headline = round(time.time() - t0, 2)
     peak_headline = peak["used"]
 
-    # checkpointed variant: 16 partitions over the 64 shards, 2 in flight
+    # checkpointed variant: 16 partitions over the 64 shards, one execution
     from engine.checkpoint import run_extraction
 
     ck_dir = "/tmp/graft_soak_ckpt"
     shutil.rmtree(ck_dir, ignore_errors=True)
     peak["used"] = 0.0
     t0 = time.time()
-    manifest = run_extraction(PAGES_DIR, ck_dir, cfg, num_partitions=16,
-                              max_in_flight=2)
+    manifest = run_extraction(PAGES_DIR, ck_dir, cfg, num_partitions=16)
     ckpt = round(time.time() - t0, 2)
     stop.set()
     mt.join(timeout=2)

@@ -9,8 +9,8 @@ A from-scratch rebuild of the capabilities of the reference
 - ``engine.docxx``  — stdlib DOCX (zip + XML) extractor
 - ``engine.mdserialize`` — deterministic Markdown serializer with span records
 - ``engine.textops``     — exact wrapper-op semantics (chunking, format strips, ...)
-- ``engine.extract``     — per-row kernel + the stateful ExtractActor
-- ``engine.pipeline``    — the Dataset graph (read → gate → skew split → actors → sink)
+- ``engine.extract``     — per-row kernel + the ``extract_batch`` batch transform
+- ``engine.pipeline``    — the Dataset graph (read → gate → extract task → sink)
 - ``engine.checkpoint``  — partition manifests, resume filter, GC
 - ``engine.stats``       — job-stats / listing queries over the output tables
 - ``engine.dedup``       — exact + MinHash-LSH + SimHash + n-gram-Jaccard dedup

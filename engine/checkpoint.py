@@ -196,7 +196,6 @@ def _extract_and_write(part_of: dict[str, int], out_dir: str,
                    "url_hash_buckets": url_hash_buckets},
         batch_format="pyarrow",
         batch_size=None,
-        num_cpus=cfg.num_cpus,
     )
 
 

@@ -190,11 +190,6 @@ def _parse_footnotes(xml_bytes: bytes) -> dict[int, list]:
     return out
 
 
-def _close_lists(stack: list[tuple[Node, int]], to_level: int) -> None:
-    while stack and stack[-1][1] >= to_level:
-        stack.pop()
-
-
 # Zip-bomb / entity-expansion guards: a tiny payload can declare a multi-GB
 # document.xml (checked against ZipInfo.file_size BEFORE reading), and
 # xml.etree is documented vulnerable to billion-laughs DTD expansion — OOXML

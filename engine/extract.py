@@ -127,8 +127,7 @@ def register_extractor(fmt: str, fn, magic: bytes | None = None) -> None:
     """Register a new payload format: ``fn(payload) -> (title, md, spans)``.
 
     NOTE: registration is per-process; in a Ray pipeline, call this at module
-    import time (workers re-import modules) or wrap the stage in an actor
-    whose __init__ registers the format."""
+    import time (workers re-import modules)."""
     EXTRACTORS[fmt] = fn
     if magic is not None:
         _MAGIC.insert(0, (magic, fmt))
@@ -178,13 +177,16 @@ def extract_row(payload: bytes, max_file_size: int = MAX_FILE_SIZE,
 
 
 class ExtractActor:
-    """Stateful map_batches stage (C1 analog of the once-per-process
-    MarkItDown() at app/main.py:201).
+    """The batch transform that ``extract_batch`` builds and calls once per
+    batch; no Ray actor pool constructs it (the extract stage is a stateless
+    task, engine/pipeline.py). It stays a class because the layer ledger in
+    perfbench/layers.py scopes its spans by patching ``__call__``.
 
     All parser state that is buildable ahead of time — compiled regexes,
     entity tables, tag-policy sets — is module-level in the engine submodules
-    and therefore warmed on first import in ``__init__``; per-batch work is
-    pure compute. Arrow in / Arrow out (zero-copy from the object store).
+    (the C1 analog of the once-per-process MarkItDown() at app/main.py:201),
+    so it is built once per worker process; ``__init__`` only runs a warm-up
+    row, and per-batch work is pure compute. Arrow in / Arrow out.
     """
 
     def __init__(self, max_file_size: int = MAX_FILE_SIZE,
@@ -219,5 +221,5 @@ class ExtractActor:
 def extract_batch(batch: pa.Table, max_file_size: int = MAX_FILE_SIZE,
                   row_timeout_s: float = ROW_TIMEOUT_S,
                   carry: tuple[str, ...] = ()) -> pa.Table:
-    """Stateless-task form of the same transform (the default pipeline stage)."""
+    """The pipeline's extract stage: one stateless task per batch."""
     return ExtractActor(max_file_size, row_timeout_s, carry)(batch)

@@ -175,11 +175,6 @@ def _write_utf8_number(bw: BitWriterMSB, v: int) -> None:
 # --------------------------------------------------------------------------
 # residual coding
 
-def _zigzag(v: np.ndarray) -> np.ndarray:
-    return np.where(v >= 0, v.astype(np.int64) << 1,
-                    ((-v.astype(np.int64)) << 1) - 1)
-
-
 def _read_residual(br: BitReaderMSB, blocksize: int,
                    predictor_order: int) -> "list[int]":
     method = br.read(2)
@@ -442,6 +437,7 @@ def _encode_subframe(bw: BitWriterMSB, samples: "list[int]", bps: int,
             bw.write_signed(v, bps)
         return
     if mode == "fixed":
+        order = min(order, n)  # a short trailing block holds n warm-up samples
         bw.write(8 + order, 6)
         _write_wasted(bw, wasted)
         for v in samples[:order]:

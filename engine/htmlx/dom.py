@@ -1,7 +1,7 @@
 """Lightweight DOM: a Node tree whose children are Node | str.
 
 Small on purpose — one row's tree lives only for the duration of one kernel
-call inside an ExtractActor batch; millions are built per task, so no parent
+call inside an extract_batch task; millions are built per task, so no parent
 pointers (O(1) GC), __slots__, and plain strings for text.
 """
 

@@ -27,7 +27,7 @@ import ray.data
 from ray.data.aggregate import Count, Max, Mean, Min, Sum
 
 from engine import textops
-from engine.extract import ExtractActor
+from engine.extract import extract_batch
 
 
 def _read(sf_dir: str, table: str, columns: list[str] | None = None):
@@ -432,8 +432,7 @@ def q_extract_roundtrip(sf_dir: str):
 
     pages = docs.map_batches(to_pages, batch_format="pyarrow")
     extracted = pages.map_batches(
-        ExtractActor, batch_format="pyarrow", batch_size=128, concurrency=(1, 4)
-    )
+        extract_batch, batch_format="pyarrow", batch_size=128)
     return extracted.map_batches(
         lambda t: pa.table({
             "doc_id": pc.cast(t["url"], pa.int64()),
@@ -465,8 +464,7 @@ def q_pdf_roundtrip(sf_dir: str):
                          "html": pa.array(payloads, type=pa.binary())})
 
     extracted = docs.map_batches(to_pdf_pages, batch_format="pyarrow").map_batches(
-        ExtractActor, batch_format="pyarrow", batch_size=256, concurrency=(1, 4)
-    )
+        extract_batch, batch_format="pyarrow", batch_size=256)
     return extracted.map_batches(
         lambda t: pa.table({"doc_id": pc.cast(t["url"], pa.int64()),
                             "pdf_text": t["markdown_text"],
@@ -491,8 +489,7 @@ def q_docx_roundtrip(sf_dir: str):
                          "html": pa.array(payloads, type=pa.binary())})
 
     extracted = docs.map_batches(to_docx_pages, batch_format="pyarrow").map_batches(
-        ExtractActor, batch_format="pyarrow", batch_size=256, concurrency=(1, 4)
-    )
+        extract_batch, batch_format="pyarrow", batch_size=256)
     return extracted.map_batches(
         lambda t: pa.table({"doc_id": pc.cast(t["url"], pa.int64()),
                             "docx_text": t["markdown_text"]}),
@@ -3461,8 +3458,7 @@ def q_charset_decode(sf_dir: str):
 
     pages = docs.map_batches(mk_pages, batch_format="pyarrow")
     extracted = pages.map_batches(
-        ExtractActor, batch_format="pyarrow", batch_size=128,
-        concurrency=(1, 4))
+        extract_batch, batch_format="pyarrow", batch_size=128)
     return extracted.map_batches(
         lambda t: pa.table({"doc_id": pc.cast(t["url"], pa.int64()),
                             "title": t["title"],

@@ -72,7 +72,6 @@ MANIFEST = pa.schema(
 # Reference config values carried forward (app/main.py:205-215). These are the
 # semantics-bearing constants; dead knobs (SURVEY.md §2.12) are not carried.
 MAX_FILE_SIZE = 50 * 1024 * 1024  # app/main.py:205 — larger rows → status='rejected'
-LARGE_FILE_THRESHOLD = 5 * 1024 * 1024  # app/main.py:206 — skew-split boundary
 CHUNK_SIZE = 1000  # lines per chunk, app/main.py:209
 CHUNK_MIN_CHARS = 10_000  # chunk only when output exceeds this, app/main.py:394
 PREVIEW_CHARS = 500  # content preview slice, app/main.py:547

@@ -379,20 +379,6 @@ def winnow_fingerprints(text: str, k: int = WINNOW_K, w: int = WINNOW_W) -> list
     return out
 
 
-class FingerprintStage:
-    def __init__(self, text_col: str = "text"):
-        self.text_col = text_col
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        texts = [s or "" for s in t[self.text_col].to_pylist()]
-        md5s = [md5_fingerprint(s) for s in texts]
-        wins = [winnow_fingerprints(s) for s in texts]
-        return (
-            t.append_column("fingerprint", pa.array(md5s, type=pa.string()))
-            .append_column("winnow", pa.array(wins, type=pa.list_(pa.int64())))
-        )
-
-
 # ---------------------------------------------------------------------------
 # Corpus document frequency (inverted-index term statistics) — the partial-
 # aggregation pattern: combine INSIDE map_batches, then shuffle only the

@@ -15,7 +15,7 @@ from engine import stats
 from engine.fixtures import write_pages_parquet
 from engine.pipeline import PipelineConfig
 
-CFG = PipelineConfig(batch_size=16, max_actors=2)
+CFG = PipelineConfig(batch_size=16)
 
 
 def test_plan_partitions():

@@ -25,7 +25,7 @@ def test_distributed_equals_sequential(ray_session, tmp_path):
 
     expected = _sorted_rows(oracle_extract(gen_pages_table(n, seed=11)))
 
-    got = extract_from_parquet(src, PipelineConfig(batch_size=16, max_actors=4))
+    got = extract_from_parquet(src, PipelineConfig(batch_size=16))
     got_rows = _sorted_rows(pa.Table.from_pylist(got.take_all()))
 
     assert len(got_rows) == len(expected)
@@ -37,31 +37,12 @@ def test_distributed_equals_sequential(ray_session, tmp_path):
         assert g["status"] == e["status"]
 
 
-def test_skew_split_same_result(ray_session, tmp_path):
-    n = 60
-    src = str(tmp_path / "pages")
-    write_pages_parquet(src, n, seed=13, num_files=2)
-
-    base = extract_from_parquet(src, PipelineConfig(batch_size=8, max_actors=2))
-    # force the split branch to actually split: tiny large_threshold
-    split = extract_from_parquet(
-        src,
-        PipelineConfig(batch_size=8, max_actors=2, skew_split=True,
-                       large_threshold=2000),
-    )
-    a = _sorted_rows(pa.Table.from_pylist(base.take_all()))
-    b = _sorted_rows(pa.Table.from_pylist(split.take_all()))
-    assert [r["url"] for r in a] == [r["url"] for r in b]
-    assert [r["markdown_text"] for r in a] == [r["markdown_text"] for r in b]
-
-
 def test_oversize_row_rejected_in_pipeline(ray_session, tmp_path):
     import ray.data as rd
 
     pages = gen_pages_table(10, seed=3)
     ds = rd.from_arrow(pages)
-    out = extract_pages(ds, PipelineConfig(batch_size=4, max_actors=2,
-                                           max_file_size=700))
+    out = extract_pages(ds, PipelineConfig(batch_size=4, max_file_size=700))
     statuses = [r["status"] for r in out.take_all()]
     assert "rejected" in statuses  # big HTML rows tripped the gate
 

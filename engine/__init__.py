@@ -16,7 +16,7 @@ A from-scratch rebuild of the capabilities of the reference
 - ``engine.dedup``       — exact + MinHash-LSH + SimHash + n-gram-Jaccard dedup
 - ``engine.similarity``  — embedding cosine top-k (brute force + LSH-bucketed)
 - ``engine.textstats``   — language-ID, quality scoring, token counts, fingerprints
-- ``engine.multimodal``  — binary-column decode/feature stages (decode stubbed)
+- ``engine.multimodal``  — binary-column decode/feature stages, stateless tasks
 
 No ``ray.init``/``ray.shutdown`` happens anywhere in this package: sessions are
 owned by the caller (driver, bench.py, or the pytest fixture).

@@ -198,10 +198,10 @@ def _page_stream(blocks: list[tuple[float, float, list[str]]], style: str) -> by
     return b"\n".join(out)
 
 
-def lzw_encode(data: bytes, early: int = 1) -> bytes:
-    """PDF-variant LZW encoder (fixtures only): 9→12-bit codes MSB-first,
-    256=clear, 257=EOD, EarlyChange=1. Round-trips with
-    engine.pdfx.objects._lzw_decode (pinned by test)."""
+def lzw_encode(data: bytes) -> bytes:
+    """PDF/TIFF-variant LZW encoder (PDF fixtures and imagecodec.encode_tiff):
+    9→12-bit codes MSB-first, 256=clear, 257=EOD, EarlyChange=1. Round-trips
+    with engine.pdfx.objects._lzw_decode (pinned by test)."""
     table = {bytes([i]): i for i in range(256)}
     next_code = 258
     width = 9
@@ -239,7 +239,7 @@ def lzw_encode(data: bytes, early: int = 1) -> bytes:
             # decoder adds no entry for the first code after a clear), so it
             # bumps at (1<<w) where the early-change decoder bumps at
             # (1<<w)-1
-            if next_code >= (1 << width) + 1 - early and width < 12:
+            if next_code >= (1 << width) and width < 12:
                 width += 1
         w = c
     if w:

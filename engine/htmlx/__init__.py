@@ -6,17 +6,13 @@ requirements.txt:7) plus the readability-style density upgrade the north_star
 requires. See SURVEY.md §2.2 H1-H4.
 """
 
-import os
-
 from engine.htmlx.dom import Node, is_node, text_len, link_text_len
 from engine.htmlx.boilerplate import strip_boilerplate, select_content_root
 from engine.htmlx.title import extract_title
 
-if os.environ.get("ENGINE_HTML_PARSER") == "stdlib":
-    from engine.htmlx.parser import parse_html
-else:  # default: the regex-scanner fast path (~1.6× parse throughput);
-    # equivalence with the stdlib build is tested (tests/test_fastparser.py)
-    from engine.htmlx.fastparser import parse_html_fast as parse_html
+# the regex-scanner tokenizer (~1.6× the stdlib build's parse throughput);
+# its equivalence with engine.htmlx.parser is tested (tests/test_fastparser.py)
+from engine.htmlx.fastparser import parse_html_fast as parse_html
 
 __all__ = [
     "Node",

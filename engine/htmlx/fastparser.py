@@ -6,8 +6,7 @@ ignored, unquoted attributes parse, character references decode in text and
 attribute values (html.unescape — the same html5 table html.parser uses),
 script/style bodies are raw text, a lone '<' that opens no tag is literal
 text. Equivalence with the stdlib build is enforced by
-tests/test_fastparser.py over the golden corpus + the htmlx unit cases;
-``ENGINE_HTML_PARSER=stdlib`` env var switches the kernel back.
+tests/test_fastparser.py over the golden corpus + the htmlx unit cases.
 
 Why not stdlib: html.parser's goahead() pays per-chunk regex scans,
 updatepos bookkeeping and per-callback dispatch that dominate the extraction

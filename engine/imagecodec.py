@@ -520,78 +520,6 @@ def _packbits_encode(data: bytes) -> bytes:
     return bytes(out)
 
 
-def _tiff_lzw_encode(data: bytes) -> bytes:
-    """TIFF LZW encoder (fixture/test twin of pdfx._lzw_decode, which IS
-    the TIFF variant: MSB-first 9→12-bit codes, 256=Clear, 257=EOD, early
-    change). The encoder simulates the decoder's table growth exactly —
-    the decoder trails one entry behind the encoder, so width switches are
-    keyed off the DECODER's next_code, and the table is Cleared before the
-    decoder's could reach 4096."""
-    acc = bytearray()
-    bitbuf = 0
-    nbits = 0
-
-    def emit(code: int, width: int) -> None:
-        nonlocal bitbuf, nbits
-        bitbuf = (bitbuf << width) | code
-        nbits += width
-        while nbits >= 8:
-            acc.append((bitbuf >> (nbits - 8)) & 0xFF)
-            nbits -= 8
-        bitbuf &= (1 << nbits) - 1  # keep exactly the pending bits
-
-    CLEAR, EOD = 256, 257
-    table: dict[bytes, int] = {}
-    enc_next = 258
-    width = 9
-    dec_next = 258
-    first = True
-
-    def reset() -> None:
-        nonlocal table, enc_next, width, dec_next, first
-        table = {bytes([i]): i for i in range(256)}
-        enc_next = 258
-        width = 9
-        dec_next = 258
-        first = True
-
-    def post_emit() -> None:
-        # mirror one decoder step: it adds a table entry for every code
-        # after the first since reset, THEN checks the early-change rule
-        nonlocal dec_next, width, first
-        if first:
-            first = False
-        else:
-            dec_next += 1
-        if dec_next >= (1 << width) - 1 and width < 12:
-            width += 1
-
-    reset()
-    emit(CLEAR, width)
-    w = b""
-    for i in range(len(data)):
-        c = data[i:i + 1]
-        wc = w + c
-        if wc in table:
-            w = wc
-            continue
-        emit(table[w], width)
-        post_emit()
-        table[wc] = enc_next
-        enc_next += 1
-        w = c
-        if enc_next > 4093:          # decoder table must stay < 4096
-            emit(CLEAR, width)
-            reset()
-    if w:
-        emit(table[w], width)
-        post_emit()
-    emit(EOD, width)
-    if nbits:
-        acc.append((bitbuf << (8 - nbits)) & 0xFF)
-    return bytes(acc)
-
-
 def decode_tiff(payload: bytes) -> np.ndarray:
     """Baseline TIFF → HxWx3 uint8: first IFD, 8-bit RGB or grayscale
     (gray replicated), Compression 1 (none) / 5 (LZW — the pdfx
@@ -698,7 +626,9 @@ def encode_tiff(img: np.ndarray, big_endian: bool = False,
     if compression == 1:
         strips = raw_strips
     elif compression == 5:
-        strips = [_tiff_lzw_encode(s) for s in raw_strips]
+        from engine.fixtures import lzw_encode
+
+        strips = [lzw_encode(s) for s in raw_strips]
     elif compression == 32773:
         strips = [_packbits_encode(s) for s in raw_strips]
     else:

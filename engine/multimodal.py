@@ -9,14 +9,18 @@ queries. The remaining compressed formats (arithmetic JPEG, lossy-VP8
 WebP, mp3/ogg audio) are DEPLOYMENT-GATED: pillow / soundfile are used
 when importable, and deterministic clearly-marked stubs otherwise (this
 container ships neither). Everything Ray-side — schemas, batch sizing,
-actor signatures, output layout, error channel — is identical either way
+stage shape, output layout, error channel — is identical either way
 and fully tested.
 
 Design rules encoded here (the 100 TB shape):
-- media rows are LARGE: stages default to small ``batch_size`` so a batch ×
-  concurrency fits worker heaps, mirroring the pipeline's large-row lane;
-- decode/feature stages are ACTOR pools (real deployments hold model weights /
-  codec contexts per actor — this is the case where actors beat tasks);
+- media rows are LARGE: stages default to small ``batch_size`` so a batch
+  fits worker heaps;
+- every stage is a plain batch function run as a stateless TASK. No stage
+  holds per-worker state (codec tables are module-level, built once per
+  worker process). The feature stage used to be an actor pool: on a
+  one-CPU Ray it never finished (the pool's CPUs starve the read), and
+  pool spin-up costs 1-2 s per query. A real embedding model, if one is
+  ever configured, is the case that would bring back an actor pool;
 - outputs are fixed-width feature columns (list<float>) + typed metadata, so
   downstream similarity/dedup stages (engine.similarity) compose directly.
 """
@@ -56,7 +60,7 @@ class MediaDecodeError(ValueError):
 
 # Deployment gate: real codecs load when available, the deterministic
 # stubs below otherwise (this container ships neither pillow nor
-# soundfile). The Ray-side plumbing — schemas, actor shape, batch sizing,
+# soundfile). The Ray-side plumbing — schemas, stage shape, batch sizing,
 # error channel — is identical either way; ONLY the decode kernel swaps.
 try:  # pragma: no cover - not installed in this environment
     from PIL import Image as _PILImage
@@ -204,59 +208,6 @@ def _sample_video_frames(payload: bytes, num_frames: int = 4) -> list[np.ndarray
     ]
 
 
-def resize_image(img: np.ndarray, target_h: int, target_w: int) -> np.ndarray:
-    """REAL kernel (not a stub): nearest-neighbor resize via index maps —
-    decode is the only codec-dependent step; everything downstream of the
-    HxWx3 array is plain numpy."""
-    h, w = img.shape[:2]
-    rows = np.minimum((np.arange(target_h) * h) // target_h, h - 1)
-    cols = np.minimum((np.arange(target_w) * w) // target_w, w - 1)
-    return img[rows[:, None], cols[None, :]]
-
-
-class ImageResizeActor:
-    """Actor-pool stage: (media_id, payload) images → fixed-size uint8
-    tensors as binary + shape metadata (the normalize-before-model step of a
-    multimodal training pipeline). Same per-row failure isolation as
-    MediaFeatureActor."""
-
-    def __init__(self, target_h: int = 16, target_w: int = 16):
-        self.th = target_h
-        self.tw = target_w
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        ids = t["media_id"].to_pylist()
-        payloads = t["payload"].to_pylist()
-        tensors: list[bytes] = []
-        status: list[str] = []
-        for payload in payloads:
-            try:
-                img = _decode_image(payload or b"")
-                tensors.append(resize_image(img, self.th, self.tw).tobytes())
-                status.append("ok")
-            except MediaDecodeError:
-                tensors.append(b"")
-                status.append("failed")
-        return pa.table({
-            "media_id": pa.array(ids, type=pa.int64()),
-            "tensor": pa.array(tensors, type=pa.binary()),
-            "height": pa.array([self.th] * len(ids), type=pa.int32()),
-            "width": pa.array([self.tw] * len(ids), type=pa.int32()),
-            "status": pa.array(status, type=pa.string()),
-        })
-
-
-def resize_images(ds: "ray.data.Dataset", *, target_h: int = 16,
-                  target_w: int = 16, batch_size: int = 8,
-                  concurrency: tuple[int, int] = (1, 8)) -> "ray.data.Dataset":
-    return ds.map_batches(
-        ImageResizeActor,
-        fn_constructor_kwargs={"target_h": target_h, "target_w": target_w},
-        batch_format="pyarrow", batch_size=batch_size,
-        concurrency=concurrency, num_cpus=1,
-    )
-
-
 def image_features(img: np.ndarray) -> np.ndarray:
     """Real kernel: channel-wise histogram features → FEATURE_DIM floats.
 
@@ -306,153 +257,134 @@ def audio_features(pcm: np.ndarray) -> np.ndarray:
     return out
 
 
-class MediaFeatureActor:
-    """Actor-pool stage: (media_id, kind, payload) → features + status.
-
-    This is the genuinely-stateful stage shape (model weights / codec contexts
-    live in ``__init__`` in a real deployment), so it stays an actor pool —
-    unlike the text kernel (see engine.pipeline module docstring).
-    """
-
-    def __init__(self, num_video_frames: int = 4):
-        self.num_video_frames = num_video_frames
-        # real deployment: load the embedding model here, once per actor
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        ids = t["media_id"].to_pylist()
-        kinds = t["kind"].to_pylist()
-        payloads = t["payload"].to_pylist()
-        feats: list[list[float]] = []
-        status: list[str] = []
-        error: list[str] = []
-        sha: list[str] = []
-        for kind, payload in zip(kinds, payloads):
-            payload = payload or b""
-            # sha256, not sha1: the content fingerprint doubles as the SQL
-            # oracle hook (DuckDB ships sha256 but no sha1)
-            sha.append(hashlib.sha256(payload).hexdigest())
-            try:
-                if kind == "image":
-                    f = image_features(_decode_image(payload))
-                elif kind == "audio":
-                    f = audio_features(_decode_audio(payload))
-                elif kind == "video":
-                    frames = _sample_video_frames(payload, self.num_video_frames)
-                    f = np.mean([image_features(fr) for fr in frames], axis=0)
-                else:
-                    raise MediaDecodeError(f"unknown media kind: {kind}")
-                feats.append([float(x) for x in f])
-                status.append("ok")
-                error.append("")
-            except MediaDecodeError as exc:  # per-row failure, never the task
-                feats.append([0.0] * FEATURE_DIM)
-                status.append("failed")
-                error.append(str(exc))
-        return pa.table({
-            "media_id": pa.array(ids, type=pa.int64()),
-            "kind": pa.array(kinds, type=pa.string()),
-            "sha256": pa.array(sha, type=pa.string()),
-            "features": pa.array(feats, type=pa.list_(pa.float64())),
-            "status": pa.array(status, type=pa.string()),
-            "error": pa.array(error, type=pa.string()),
-        })
+def media_features_batch(t: pa.Table, num_video_frames: int = 4) -> pa.Table:
+    """(media_id, kind, payload) → features + status; a decode failure
+    lands in the row's ``status``/``error``, never fails the task."""
+    ids = t["media_id"].to_pylist()
+    kinds = t["kind"].to_pylist()
+    payloads = t["payload"].to_pylist()
+    feats: list[list[float]] = []
+    status: list[str] = []
+    error: list[str] = []
+    sha: list[str] = []
+    for kind, payload in zip(kinds, payloads):
+        payload = payload or b""
+        # sha256, not sha1: the content fingerprint doubles as the SQL
+        # oracle hook (DuckDB ships sha256 but no sha1)
+        sha.append(hashlib.sha256(payload).hexdigest())
+        try:
+            if kind == "image":
+                f = image_features(_decode_image(payload))
+            elif kind == "audio":
+                f = audio_features(_decode_audio(payload))
+            elif kind == "video":
+                frames = _sample_video_frames(payload, num_video_frames)
+                f = np.mean([image_features(fr) for fr in frames], axis=0)
+            else:
+                raise MediaDecodeError(f"unknown media kind: {kind}")
+            feats.append([float(x) for x in f])
+            status.append("ok")
+            error.append("")
+        except MediaDecodeError as exc:  # per-row failure, never the task
+            feats.append([0.0] * FEATURE_DIM)
+            status.append("failed")
+            error.append(str(exc))
+    return pa.table({
+        "media_id": pa.array(ids, type=pa.int64()),
+        "kind": pa.array(kinds, type=pa.string()),
+        "sha256": pa.array(sha, type=pa.string()),
+        "features": pa.array(feats, type=pa.list_(pa.float64())),
+        "status": pa.array(status, type=pa.string()),
+        "error": pa.array(error, type=pa.string()),
+    })
 
 
 def media_features(ds: "ray.data.Dataset", *, batch_size: int = 8,
-                   concurrency: tuple[int, int] = (1, 8),
                    num_video_frames: int = 4) -> "ray.data.Dataset":
     """The media feature pipeline stage. Small batches on purpose: media
-    payloads are MiB-scale, so batch × pool must fit in worker heaps."""
+    payloads are MiB-scale, so a batch must fit in a worker heap."""
     return ds.map_batches(
-        MediaFeatureActor,
-        fn_constructor_kwargs={"num_video_frames": num_video_frames},
+        media_features_batch,
+        fn_kwargs={"num_video_frames": num_video_frames},
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=concurrency,
-        num_cpus=1,
     )
 
 
-class ImageStatsActor:
-    """Actor-pool stage over REAL image decode: (media_id, payload) →
+def image_stats_batch(t: pa.Table) -> pa.Table:
+    """Batch function over REAL image decode: (media_id, payload) →
     (width, height, per-channel pixel sums). The sums are exact integers,
     which is what makes the whole decode path (container parse, inflate,
     scanline unfilter, channel order) pinnable by a DuckDB oracle over a
     planted corpus — any byte wrong anywhere moves a sum."""
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        ids = t["media_id"].to_pylist()
-        payloads = t["payload"].to_pylist()
-        out = {"media_id": ids, "width": [], "height": [],
-               "sum_r": [], "sum_g": [], "sum_b": [], "status": []}
-        for payload in payloads:
-            try:
-                img = _decode_image(payload or b"")
-                s = img.reshape(-1, 3).sum(axis=0, dtype=np.int64)
-                out["width"].append(img.shape[1])
-                out["height"].append(img.shape[0])
-                out["sum_r"].append(int(s[0]))
-                out["sum_g"].append(int(s[1]))
-                out["sum_b"].append(int(s[2]))
-                out["status"].append("ok")
-            except MediaDecodeError:
-                for k, v in (("width", 0), ("height", 0), ("sum_r", 0),
-                             ("sum_g", 0), ("sum_b", 0)):
-                    out[k].append(v)
-                out["status"].append("failed")
-        return pa.table({
-            "media_id": pa.array(out["media_id"], type=pa.int64()),
-            "width": pa.array(out["width"], type=pa.int64()),
-            "height": pa.array(out["height"], type=pa.int64()),
-            "sum_r": pa.array(out["sum_r"], type=pa.int64()),
-            "sum_g": pa.array(out["sum_g"], type=pa.int64()),
-            "sum_b": pa.array(out["sum_b"], type=pa.int64()),
-            "status": pa.array(out["status"], type=pa.string()),
-        })
+    ids = t["media_id"].to_pylist()
+    payloads = t["payload"].to_pylist()
+    out = {"media_id": ids, "width": [], "height": [],
+           "sum_r": [], "sum_g": [], "sum_b": [], "status": []}
+    for payload in payloads:
+        try:
+            img = _decode_image(payload or b"")
+            s = img.reshape(-1, 3).sum(axis=0, dtype=np.int64)
+            out["width"].append(img.shape[1])
+            out["height"].append(img.shape[0])
+            out["sum_r"].append(int(s[0]))
+            out["sum_g"].append(int(s[1]))
+            out["sum_b"].append(int(s[2]))
+            out["status"].append("ok")
+        except MediaDecodeError:
+            for k, v in (("width", 0), ("height", 0), ("sum_r", 0),
+                         ("sum_g", 0), ("sum_b", 0)):
+                out[k].append(v)
+            out["status"].append("failed")
+    return pa.table({
+        "media_id": pa.array(out["media_id"], type=pa.int64()),
+        "width": pa.array(out["width"], type=pa.int64()),
+        "height": pa.array(out["height"], type=pa.int64()),
+        "sum_r": pa.array(out["sum_r"], type=pa.int64()),
+        "sum_g": pa.array(out["sum_g"], type=pa.int64()),
+        "sum_b": pa.array(out["sum_b"], type=pa.int64()),
+        "status": pa.array(out["status"], type=pa.string()),
+    })
 
 
 def image_stats(ds: "ray.data.Dataset", *, batch_size: int = 64,
                 ) -> "ray.data.Dataset":
-    # stateless-TASK stage on purpose: the kernel holds no per-actor state,
-    # and an actor pool pays 1-2 s spin-up per query (CLAUDE.md; the same
-    # reasoning as the extraction kernel — actors only where real state)
-    return ds.map_batches(ImageStatsActor(), batch_format="pyarrow",
+    # stateless-TASK stage, like every media stage (module docstring)
+    return ds.map_batches(image_stats_batch, batch_format="pyarrow",
                           batch_size=batch_size)
 
 
-class AudioStatsActor:
-    """Actor-pool stage over REAL WAV decode: (media_id, payload) →
+def audio_stats_batch(t: pa.Table) -> pa.Table:
+    """Batch function over REAL WAV decode: (media_id, payload) →
     (n_samples, exact integer sample sum). PCM16 values are exact in the
     float pipeline (|s| < 2^15, scaled by 2^-15), so round(sum·32768) is
     the integer sample sum — the DuckDB-oracle hook for the audio path."""
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        ids = t["media_id"].to_pylist()
-        payloads = t["payload"].to_pylist()
-        out = {"media_id": ids, "n_samples": [], "sum_s": [], "status": []}
-        for payload in payloads:
-            try:
-                pcm = _decode_audio(payload or b"")
-                out["n_samples"].append(len(pcm))
-                out["sum_s"].append(
-                    int(round(float(pcm.astype(np.float64).sum()) * 32768.0)))
-                out["status"].append("ok")
-            except MediaDecodeError:
-                out["n_samples"].append(0)
-                out["sum_s"].append(0)
-                out["status"].append("failed")
-        return pa.table({
-            "media_id": pa.array(out["media_id"], type=pa.int64()),
-            "n_samples": pa.array(out["n_samples"], type=pa.int64()),
-            "sum_s": pa.array(out["sum_s"], type=pa.int64()),
-            "status": pa.array(out["status"], type=pa.string()),
-        })
+    ids = t["media_id"].to_pylist()
+    payloads = t["payload"].to_pylist()
+    out = {"media_id": ids, "n_samples": [], "sum_s": [], "status": []}
+    for payload in payloads:
+        try:
+            pcm = _decode_audio(payload or b"")
+            out["n_samples"].append(len(pcm))
+            out["sum_s"].append(
+                int(round(float(pcm.astype(np.float64).sum()) * 32768.0)))
+            out["status"].append("ok")
+        except MediaDecodeError:
+            out["n_samples"].append(0)
+            out["sum_s"].append(0)
+            out["status"].append("failed")
+    return pa.table({
+        "media_id": pa.array(out["media_id"], type=pa.int64()),
+        "n_samples": pa.array(out["n_samples"], type=pa.int64()),
+        "sum_s": pa.array(out["sum_s"], type=pa.int64()),
+        "status": pa.array(out["status"], type=pa.string()),
+    })
 
 
 def audio_stats(ds: "ray.data.Dataset", *, batch_size: int = 64,
                 ) -> "ray.data.Dataset":
     # stateless-TASK stage, same reasoning as image_stats
-    return ds.map_batches(AudioStatsActor(), batch_format="pyarrow",
+    return ds.map_batches(audio_stats_batch, batch_format="pyarrow",
                           batch_size=batch_size)
 
 
@@ -480,47 +412,45 @@ def gen_media_table(n_rows: int, seed: int = 42) -> pa.Table:
     return pa.table(rows, schema=MEDIA_SCHEMA)
 
 
-class VideoStatsActor:
-    """Stage over REAL AVI decode (engine/videocodec.py): (media_id,
+def video_stats_batch(t: pa.Table) -> pa.Table:
+    """Batch function over REAL AVI decode (engine/videocodec.py): (media_id,
     payload) → (n_frames, width, height, exact per-channel pixel sums of
     the FIRST frame) — the DuckDB-oracle hook for the video path, the
-    video sibling of ImageStatsActor/AudioStatsActor."""
+    video sibling of image_stats_batch/audio_stats_batch."""
+    from engine.videocodec import decode_avi
 
-    def __call__(self, t: pa.Table) -> pa.Table:
-        from engine.videocodec import decode_avi
-
-        ids = t["media_id"].to_pylist()
-        payloads = t["payload"].to_pylist()
-        cols = {"n_frames": [], "width": [], "height": [],
-                "sum_r": [], "sum_g": [], "sum_b": [], "status": []}
-        for payload in payloads:
-            try:
-                if not payload:
-                    raise MediaDecodeError("empty video payload")
-                frames = decode_avi(payload)
-                f0 = frames[0].astype(np.int64)
-                cols["n_frames"].append(len(frames))
-                cols["height"].append(f0.shape[0])
-                cols["width"].append(f0.shape[1])
-                for c, name in enumerate(("sum_r", "sum_g", "sum_b")):
-                    cols[name].append(int(f0[:, :, c].sum()))
-                cols["status"].append("ok")
-            except (MediaDecodeError, ValueError):
-                for name in ("n_frames", "width", "height",
-                             "sum_r", "sum_g", "sum_b"):
-                    cols[name].append(0)
-                cols["status"].append("failed")
-        return pa.table({
-            "media_id": pa.array(ids, type=pa.int64()),
-            **{k: pa.array(v, type=pa.int64()) for k, v in cols.items()
-               if k != "status"},
-            "status": pa.array(cols["status"], type=pa.string()),
-        })
+    ids = t["media_id"].to_pylist()
+    payloads = t["payload"].to_pylist()
+    cols = {"n_frames": [], "width": [], "height": [],
+            "sum_r": [], "sum_g": [], "sum_b": [], "status": []}
+    for payload in payloads:
+        try:
+            if not payload:
+                raise MediaDecodeError("empty video payload")
+            frames = decode_avi(payload)
+            f0 = frames[0].astype(np.int64)
+            cols["n_frames"].append(len(frames))
+            cols["height"].append(f0.shape[0])
+            cols["width"].append(f0.shape[1])
+            for c, name in enumerate(("sum_r", "sum_g", "sum_b")):
+                cols[name].append(int(f0[:, :, c].sum()))
+            cols["status"].append("ok")
+        except (MediaDecodeError, ValueError):
+            for name in ("n_frames", "width", "height",
+                         "sum_r", "sum_g", "sum_b"):
+                cols[name].append(0)
+            cols["status"].append("failed")
+    return pa.table({
+        "media_id": pa.array(ids, type=pa.int64()),
+        **{k: pa.array(v, type=pa.int64()) for k, v in cols.items()
+           if k != "status"},
+        "status": pa.array(cols["status"], type=pa.string()),
+    })
 
 
 def video_stats(ds: "ray.data.Dataset", *, batch_size: int = 16,
                 ) -> "ray.data.Dataset":
     # stateless-TASK stage, same reasoning as image_stats; smaller default
     # batch: video rows are the largest media rows
-    return ds.map_batches(VideoStatsActor(), batch_format="pyarrow",
+    return ds.map_batches(video_stats_batch, batch_format="pyarrow",
                           batch_size=batch_size)

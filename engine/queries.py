@@ -59,23 +59,10 @@ def q_chunk_explode(sf_dir: str):
 
 
 # ---------------------------------------------------------------------------
-# M5 — sanitize_filename (app/main.py:252-258) over part names
-# ---------------------------------------------------------------------------
-
-
-def q_sanitize_names(sf_dir: str):
-    parts = _read(sf_dir, "part", ["p_partkey", "p_name"])
-    return parts.map_batches(
-        lambda t: pa.table(
-            {"p_partkey": t["p_partkey"],
-             "safe_name": textops.sanitize_batch(t["p_name"])}
-        ),
-        batch_format="pyarrow",
-    )
-
-
-# ---------------------------------------------------------------------------
-# M6/M7 — output-format strip chains (app/main.py:262-277) over synthesized md
+# M4-M9 composite — ONE multi-column gate query exercising all six r1
+# textops kernels per doc (VERDICT r4 #2: one driver-gate slot instead of
+# the five individual M5-M9 entries, which are deleted; each kernel stays
+# green in r1-r3 CORRECTNESS artifacts and tests/test_textops.py).
 # ---------------------------------------------------------------------------
 
 
@@ -87,64 +74,6 @@ def _synth_markdown(t: pa.Table) -> pa.Array | pa.ChunkedArray:
         "# Title ", t["source"], "\n**", t["lang"], "** *", t["source"],
         "* [link](http://x/", did, ") `", t["lang"], "`\n", t["text"], "",
     )
-
-
-def q_plain_strip(sf_dir: str):
-    docs = _read(sf_dir, "documents", ["doc_id", "text", "lang", "source"])
-    return docs.map_batches(
-        lambda t: pa.table(
-            {"doc_id": t["doc_id"],
-             "plain_text": textops.markdown_to_plain_batch(_synth_markdown(t))}
-        ),
-        batch_format="pyarrow",
-    )
-
-
-def q_gdocs_strip(sf_dir: str):
-    docs = _read(sf_dir, "documents", ["doc_id", "text", "lang", "source"])
-    return docs.map_batches(
-        lambda t: pa.table(
-            {"doc_id": t["doc_id"],
-             "gdocs_text": textops.markdown_to_gdocs_batch(_synth_markdown(t))}
-        ),
-        batch_format="pyarrow",
-    )
-
-
-# ---------------------------------------------------------------------------
-# M8/M9 — preview + estimated time (app/main.py:547, :676)
-# ---------------------------------------------------------------------------
-
-
-def q_preview(sf_dir: str):
-    docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    return docs.map_batches(
-        lambda t: pa.table(
-            {"doc_id": t["doc_id"],
-             "preview": textops.content_preview_batch(t["text"], limit=200)}
-        ),
-        batch_format="pyarrow",
-    )
-
-
-def q_estimated_minutes(sf_dir: str):
-    docs = _read(sf_dir, "documents", ["doc_id", "n_chars"])
-    return docs.map_batches(
-        lambda t: pa.table(
-            {"doc_id": t["doc_id"],
-             "est_minutes": textops.estimated_time_batch(
-                 pc.multiply(t["n_chars"], 4096))}
-        ),
-        batch_format="pyarrow",
-    )
-
-
-# ---------------------------------------------------------------------------
-# M4-M9 composite — ONE multi-column gate query exercising all six r1
-# textops kernels per doc (VERDICT r4 #2: frees five driver-gate slots the
-# individual entries would cost; each kernel stays green in r1-r3
-# CORRECTNESS artifacts and tests/test_textops.py).
-# ---------------------------------------------------------------------------
 
 
 def q_textops_composite(sf_dir: str):
@@ -822,7 +751,7 @@ def q_media_features(sf_dir: str):
         })
 
     media = docs.map_batches(to_media, batch_format="pyarrow")
-    out = media_features(media, batch_size=256, concurrency=(2, 12))
+    out = media_features(media, batch_size=256)
     return out.select_columns(["media_id", "kind", "sha256", "status"])
 
 

@@ -254,6 +254,22 @@ def test_tiff_compressed_matrix():
         img, big_endian=True, compression=5, predictor=2)) == img).all()
 
 
+def test_tiff_lzw_long_strip_roundtrip():
+    """Strips long enough to fill the 12-bit LZW table (one clear code or
+    more per strip) still roundtrip through encode_tiff/decode_tiff, for
+    both byte orders, both predictors, one strip and many."""
+    from engine.imagecodec import decode_tiff, encode_tiff
+
+    img = RNG.randint(0, 256, (96, 96, 3)).astype(np.uint8)  # 27 KiB
+    for be in (False, True):
+        for pred in (1, 2):
+            for rps in (0, 40):
+                enc = encode_tiff(img, big_endian=be, compression=5,
+                                  predictor=pred, rows_per_strip=rps)
+                assert (decode_tiff(enc) == img).all(), (be, pred, rps)
+    assert (_decode_image(encode_tiff(img, compression=5)) == img).all()
+
+
 def test_packbits_spec_vector():
     """The classic PackBits example from the TIFF 6.0 spec (Apple variant):
     FE AA | 02 80 00 2A | FD AA | 03 80 00 2A 22 | F7 AA."""
@@ -280,15 +296,15 @@ def test_packbits_spec_vector():
 
 
 def test_tiff_lzw_encoder_vs_pdf_decoder():
-    """The TIFF-LZW encoder must drive the shared pdfx LZW decoder (same
-    MSB-first early-change variant) through width changes (>256 distinct
-    sequences), table clears (>4093 entries -> long random input), and the
-    KwKwK case (runs)."""
-    from engine.imagecodec import _tiff_lzw_encode
+    """The LZW encoder behind encode_tiff(compression=5) must drive the
+    shared pdfx LZW decoder (same MSB-first early-change variant) through
+    width changes (>256 distinct sequences), table clears (>4093 entries ->
+    long random input), and the KwKwK case (runs)."""
+    from engine.fixtures import lzw_encode
     from engine.pdfx.objects import _lzw_decode
 
     for n in (0, 1, 5, 300, 5000, 70000):
         for data in (RNG.randint(0, 256, n).astype(np.uint8).tobytes(),
                      (b"abc" * (n // 3 + 1))[:n],
                      bytes(n)):
-            assert _lzw_decode(_tiff_lzw_encode(data), limit=10**8) == data
+            assert _lzw_decode(lzw_encode(data), limit=10**8) == data

@@ -1,4 +1,4 @@
-"""Multimodal plumbing tests: schema, actor signature, error channel.
+"""Multimodal plumbing tests: schema, error channel.
 
 Decode is stubbed (no codec libs in the container — engine/multimodal.py);
 the Ray-side plumbing is real and exercised here.
@@ -27,12 +27,31 @@ def test_feature_kernels_shape():
     assert fa.shape == (mm.FEATURE_DIM,)
 
 
+def test_media_features_batch_is_batch_size_independent():
+    """The stage is a plain batch function: called without Ray, its
+    output must not depend on how the table is cut into batches."""
+    import pyarrow as pa
+
+    table = mm.gen_media_table(20, seed=8)
+    whole = mm.media_features_batch(table)
+    parts = pa.concat_tables([
+        mm.media_features_batch(table.slice(0, 7), num_video_frames=4),
+        mm.media_features_batch(table.slice(7)),
+    ])
+    assert whole.equals(parts)
+    assert whole["media_id"].to_pylist() == list(range(20))
+    status = whole["status"].to_pylist()
+    assert status[0] == "failed" and status[17] == "failed"
+    assert whole["features"][0].as_py() == [0.0] * mm.FEATURE_DIM
+    assert status.count("ok") == 18
+
+
 def test_media_pipeline(ray_session):
     import ray.data as rd
 
     table = mm.gen_media_table(30, seed=5)
     ds = rd.from_arrow(table)
-    out = mm.media_features(ds, batch_size=8, concurrency=(1, 2)).take_all()
+    out = mm.media_features(ds, batch_size=8).take_all()
     assert len(out) == 30
     by_id = {r["media_id"]: r for r in out}
     # empty payloads (every 17th row) land in the error channel, others ok
@@ -41,8 +60,7 @@ def test_media_pipeline(ray_session):
     assert by_id[1]["status"] == "ok"
     assert len(by_id[1]["features"]) == mm.FEATURE_DIM
     # determinism: same payload → same features
-    out2 = mm.media_features(rd.from_arrow(table), batch_size=4,
-                             concurrency=(1, 1)).take_all()
+    out2 = mm.media_features(rd.from_arrow(table), batch_size=4).take_all()
     by_id2 = {r["media_id"]: r for r in out2}
     for i in (1, 2, 3):
         assert by_id[i]["features"] == by_id2[i]["features"]
@@ -54,8 +72,7 @@ def test_features_compose_with_similarity(ray_session):
     from engine import similarity
 
     table = mm.gen_media_table(31, seed=6)
-    feats = mm.media_features(rd.from_arrow(table), batch_size=8,
-                              concurrency=(1, 2))
+    feats = mm.media_features(rd.from_arrow(table), batch_size=8)
     ok = feats.map_batches(
         lambda t: t.filter(
             __import__("pyarrow").compute.equal(t["status"], "ok")
@@ -66,44 +83,6 @@ def test_features_compose_with_similarity(ray_session):
     out = similarity.knn_brute(ok, np.array([row["features"]]), k=3,
                                id_col="media_id", vec_col="features")
     assert out["vec_id"].iloc[0] == row["media_id"]  # self-match first
-
-
-def test_resize_stage(ray_session):
-    import numpy as np
-    import ray.data as rd
-
-    from engine.multimodal import (gen_media_table, resize_image,
-                                   resize_images, _decode_image)
-
-    # kernel: exact nearest-neighbor semantics
-    img = np.arange(4 * 6 * 3, dtype=np.uint8).reshape(4, 6, 3)
-    small = resize_image(img, 2, 3)
-    assert small.shape == (2, 3, 3)
-    assert (small[0, 0] == img[0, 0]).all()
-    assert (small[1, 2] == img[2, 4]).all()
-    up = resize_image(img, 8, 8)
-    assert up.shape == (8, 8, 3)
-
-    # stage: images only, fixed-size tensors, per-row failure isolation
-    import pyarrow.compute as _pc
-
-    media = rd.from_arrow(gen_media_table(30, seed=7))
-    imgs = media.map_batches(
-        lambda t: t.filter(_pc.equal(t["kind"], "image")),
-        batch_format="pyarrow")
-    payloads = {r["media_id"]: r["payload"] for r in imgs.take_all()}
-    out = resize_images(imgs, target_h=16, target_w=16).take_all()
-    # the fixture plants empty payloads: those fail PER ROW, the rest resize
-    for r in out:
-        if payloads[r["media_id"]]:
-            assert r["status"] == "ok"
-            assert len(r["tensor"]) == 16 * 16 * 3
-            expected = resize_image(
-                _decode_image(payloads[r["media_id"]]), 16, 16).tobytes()
-            assert r["tensor"] == expected
-        else:
-            assert r["status"] == "failed" and r["tensor"] == b""
-    assert any(r["status"] == "ok" for r in out)
 
 
 def test_video_frames_real_avi():

@@ -1,7 +1,8 @@
-"""The four kernel-backed queries finish on a one-CPU Ray and still match
-their DuckDB oracles. Their extract stage is a stateless task, so nothing
-holds the only CPU ahead of the read; an ExtractActor pool at
-``concurrency=(1, 4)`` there never finished.
+"""The four kernel-backed queries and ``media_features`` finish on a
+one-CPU Ray and still match their DuckDB oracles. Their extract and feature
+stages are stateless tasks, so nothing holds the only CPU ahead of the
+read; an ExtractActor pool at ``concurrency=(1, 4)`` and a
+MediaFeatureActor pool at ``concurrency=(2, 12)`` there never finished.
 
 The queries run in a subprocess with its own one-CPU cluster, so the test
 is independent of the session fixture's width."""
@@ -16,8 +17,8 @@ import sys
 from tests.conftest import REPO_ROOT
 
 SF_DIR = "/root/testdata/sf0.001"
-KERNEL_QUERIES = ("extract_roundtrip", "pdf_roundtrip", "docx_roundtrip",
-                  "charset_decode")
+ONE_CPU_QUERIES = ("extract_roundtrip", "pdf_roundtrip", "docx_roundtrip",
+                   "charset_decode", "media_features")
 TIMEOUT_S = 120
 
 _CHILD = """
@@ -47,7 +48,7 @@ ray.shutdown()
 
 def test_kernel_queries_finish_on_one_cpu():
     proc = subprocess.Popen(
-        [sys.executable, "-c", _CHILD, SF_DIR, *KERNEL_QUERIES],
+        [sys.executable, "-c", _CHILD, SF_DIR, *ONE_CPU_QUERIES],
         cwd=REPO_ROOT, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
         text=True, start_new_session=True)
     try:
@@ -59,4 +60,4 @@ def test_kernel_queries_finish_on_one_cpu():
     assert proc.returncode == 0, out[-2000:]
     done = [line.split()[1] for line in out.splitlines()
             if line.startswith("OK ")]
-    assert done == list(KERNEL_QUERIES), out[-2000:]
+    assert done == list(ONE_CPU_QUERIES), out[-2000:]

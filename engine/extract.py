@@ -18,18 +18,27 @@ deviation: we sniff content, the reference sniffs filenames.
 
 from __future__ import annotations
 
+import contextlib
 import gc
+import signal
+import threading
 
 import pyarrow as pa
 
-# The kernel allocates millions of short-lived, ACYCLIC objects per task
-# (DOM nodes carry no parent pointers — see engine/htmlx/dom.py — so
-# refcounting frees every tree immediately). CPython's generational cycle
-# collector only adds cache-thrashing heap scans here, which is exactly the
-# shared-L3 pressure behind the measured 16→32-proc scaling knee
-# (BASELINE.md). Raise the gen-0 threshold in every process that imports
-# the kernel (Ray workers re-import per process, so this lands once per
-# worker, not per batch).
+# Invariant: the kernel allocates millions of short-lived objects per task
+# and none of them is in a reference cycle, so refcounting frees each row's
+# DOM tree, PDF object table and stream bytes when the row returns (DOM
+# nodes carry no parent pointers, engine/htmlx/dom.py). What breaks it: a
+# self-recursive nested function (``def walk`` calling ``walk``), whose
+# closure cell refers back to the function and so keeps everything the
+# closure captured alive until a cycle collection. tests/test_extract.py::
+# test_extract_row_leaves_no_cyclic_garbage pins the invariant and
+# tests/test_no_closure_cycles.py rejects such functions anywhere in engine/.
+# With nothing for it to find, CPython's generational collector only adds
+# cache-thrashing heap scans, the shared-L3 pressure behind the measured
+# 16→32-proc scaling knee (BASELINE.md). Raise the gen-0 threshold in every
+# process that imports the kernel (Ray workers re-import per process, so
+# this lands once per worker, not per batch).
 gc.set_threshold(200_000, 50, 50)
 
 from engine.docxx import DocxError
@@ -56,23 +65,47 @@ class _RowTimeout(Exception):
     pass
 
 
-def _run_with_timeout(fn, payload: bytes, timeout_s: float):
-    import signal
-    import threading
+# The timeout_s of the installed _raise_timeout SIGALRM handler, 0 when it is
+# not installed: a module-level mirror of process-wide signal state, set and
+# restored only by _row_alarm. Reading signal.getsignal instead costs ~3 µs
+# a row, more than arming and disarming the timer (~1 µs).
+_alarm_s = 0.0
 
+
+def _raise_timeout(signum, frame):
+    raise _RowTimeout(f"row exceeded {_alarm_s}s")
+
+
+@contextlib.contextmanager
+def _row_alarm(timeout_s: float):
+    """Install the row-timeout SIGALRM handler for a run of rows and restore
+    the previous handler afterwards. Installing costs two ``signal.signal``
+    calls (~10 µs), so a batch pays it once and each row only arms and
+    disarms the timer. No-op off the main thread or for ``timeout_s <= 0``."""
+    global _alarm_s
+    if timeout_s <= 0 or threading.current_thread() is not threading.main_thread():
+        yield
+        return
+    old, old_s = signal.signal(signal.SIGALRM, _raise_timeout), _alarm_s
+    _alarm_s = timeout_s
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGALRM, old)
+        _alarm_s = old_s
+
+
+def _run_with_timeout(fn, payload: bytes, timeout_s: float):
     if timeout_s <= 0 or threading.current_thread() is not threading.main_thread():
         return fn(payload)
-
-    def _raise(signum, frame):
-        raise _RowTimeout(f"row exceeded {timeout_s}s")
-
-    old = signal.signal(signal.SIGALRM, _raise)
+    if _alarm_s != timeout_s:  # a direct call: install the handler for this row
+        with _row_alarm(timeout_s):
+            return _run_with_timeout(fn, payload, timeout_s)
     signal.setitimer(signal.ITIMER_REAL, timeout_s)
     try:
         return fn(payload)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, old)
 
 
 def sniff_format(payload: bytes) -> str:
@@ -207,11 +240,12 @@ class ExtractActor:
         payloads = batch["html"].to_pylist()
         out: dict[str, list] = {name: [] for name in EXTRACTED.names}
         out["url"] = urls
-        for payload in payloads:
-            row = extract_row(payload or b"", self.max_file_size,
-                              self.row_timeout_s)
-            for key, val in row.items():
-                out[key].append(val)
+        with _row_alarm(self.row_timeout_s):
+            for payload in payloads:
+                row = extract_row(payload or b"", self.max_file_size,
+                                  self.row_timeout_s)
+                for key, val in row.items():
+                    out[key].append(val)
         table = pa.table(out, schema=EXTRACTED)
         for name in self.carry:
             table = table.append_column(batch.schema.field(name), batch[name])

@@ -130,6 +130,21 @@ def _prune_pass(node: Node) -> tuple[bool, int, int]:
 _ROOT_TAGS = ("main", "article", "body")
 
 
+def _first_roots(node: Node, first: dict[str, Node]) -> bool:
+    """Record in ``first`` the first document-order descendant of ``node``
+    with each _ROOT_TAGS tag; True → <main> found, stop early."""
+    for c in node.children:
+        if isinstance(c, Node):
+            t = c.tag
+            if t in _ROOT_TAGS and t not in first:
+                first[t] = c
+                if t == "main":
+                    return True
+            if _first_roots(c, first):
+                return True
+    return False
+
+
 def select_content_root(root: Node) -> Node:
     """First <main>, else first <article>, else <body>, else the tree root.
     ONE DFS records the first document-order occurrence of each candidate
@@ -137,21 +152,8 @@ def select_content_root(root: Node) -> Node:
     first: dict[str, Node] = {}
     if root.tag in _ROOT_TAGS:
         first[root.tag] = root
-
-    def walk(node: Node) -> bool:  # True → <main> found, stop early
-        for c in node.children:
-            if isinstance(c, Node):
-                t = c.tag
-                if t in _ROOT_TAGS and t not in first:
-                    first[t] = c
-                    if t == "main":
-                        return True
-                if walk(c):
-                    return True
-        return False
-
     if "main" not in first:
-        walk(root)
+        _first_roots(root, first)
     for tag in _ROOT_TAGS:
         if tag in first:
             return first[tag]

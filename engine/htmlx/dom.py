@@ -1,8 +1,17 @@
 """Lightweight DOM: a Node tree whose children are Node | str.
 
 Small on purpose — one row's tree lives only for the duration of one kernel
-call inside an extract_batch task; millions are built per task, so no parent
-pointers (O(1) GC), __slots__, and plain strings for text.
+call inside an extract_batch task; millions are built per task, so
+__slots__, plain strings for text, and no parent pointers: a tree holds no
+reference cycle, so refcounting frees it as soon as the row drops it.
+
+Code that walks a tree keeps that true by recursing through module-level
+helpers that take their accumulator as an argument. A nested ``walk`` that
+calls itself forms a function↔closure-cell cycle that holds whatever the
+closure captured (the tree, the accumulator) until the cycle collector runs,
+which engine/extract.py defers. tests/test_no_closure_cycles.py rejects such
+functions; tests/test_extract.py::test_extract_row_leaves_no_cyclic_garbage
+checks that no row leaves cyclic garbage.
 """
 
 from __future__ import annotations

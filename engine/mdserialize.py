@@ -136,33 +136,27 @@ def _render_list(node: Node, depth: int) -> list[str]:
     return lines
 
 
-def _table_rows(node: Node) -> list[list[str]]:
-    rows: list[list[str]] = []
-
-    def walk(n: Node):
-        for child in n.children:
-            if not isinstance(child, Node):
-                continue
-            if child.tag == "tr":
-                cells = [
-                    _finalize_inline(
-                        "".join(render_inline(c) for c in cell.children)
-                    ).replace("\n", " ").replace("|", "\\|")
-                    for cell in child.children
-                    if isinstance(cell, Node) and cell.tag in ("td", "th")
-                ]
-                rows.append(cells)
-            elif child.tag in ("thead", "tbody", "tfoot", "tr", "table"):
-                walk(child)
-            else:
-                walk(child)
-
-    walk(node)
+def _table_rows(node: Node, rows: list[list[str]]) -> list[list[str]]:
+    """Append the cell texts of every <tr> below ``node`` to ``rows``."""
+    for child in node.children:
+        if not isinstance(child, Node):
+            continue
+        if child.tag == "tr":
+            cells = [
+                _finalize_inline(
+                    "".join(render_inline(c) for c in cell.children)
+                ).replace("\n", " ").replace("|", "\\|")
+                for cell in child.children
+                if isinstance(cell, Node) and cell.tag in ("td", "th")
+            ]
+            rows.append(cells)
+        else:
+            _table_rows(child, rows)
     return rows
 
 
 def _render_table(node: Node) -> str:
-    rows = _table_rows(node)
+    rows = _table_rows(node, [])
     rows = [r for r in rows if r]
     if not rows:
         return ""

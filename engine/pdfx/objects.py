@@ -805,6 +805,26 @@ def resolve(objects: dict[int, object], value):
 _INHERITABLE = ("Resources", "MediaBox", "CropBox", "Rotate")
 
 
+def _collect_pages(objects: dict[int, object], node, inherited: dict,
+                   depth: int, out: list[dict]) -> None:
+    """Append the page dicts under ``node`` to ``out`` in document order,
+    each merged with the inheritable attributes of its ancestors."""
+    if depth > 64 or not isinstance(node, dict):
+        return
+    if node.get("Type") == "Page":
+        missing = {k: v for k, v in inherited.items() if k not in node}
+        out.append({**node, **missing} if missing else node)
+        return
+    inh = inherited
+    if any(k in node for k in _INHERITABLE):
+        inh = dict(inherited)
+        for k in _INHERITABLE:
+            if k in node:
+                inh[k] = node[k]
+    for kid in node.get("Kids", []) or []:
+        _collect_pages(objects, resolve(objects, kid), inh, depth + 1, out)
+
+
 def get_pages(objects: dict[int, object], trailer: dict) -> list[dict]:
     """Walk Catalog → Pages → Kids recursively; return page dicts in order.
 
@@ -818,24 +838,7 @@ def get_pages(objects: dict[int, object], trailer: dict) -> list[dict]:
         raise PdfError("no /Root catalog")
     pages_node = resolve(objects, root.get("Pages"))
     out: list[dict] = []
-
-    def walk(node, inherited, depth=0):
-        if depth > 64 or not isinstance(node, dict):
-            return
-        if node.get("Type") == "Page":
-            missing = {k: v for k, v in inherited.items() if k not in node}
-            out.append({**node, **missing} if missing else node)
-            return
-        inh = inherited
-        if any(k in node for k in _INHERITABLE):
-            inh = dict(inherited)
-            for k in _INHERITABLE:
-                if k in node:
-                    inh[k] = node[k]
-        for kid in node.get("Kids", []) or []:
-            walk(resolve(objects, kid), inh, depth + 1)
-
-    walk(pages_node, {})
+    _collect_pages(objects, pages_node, {}, 0, out)
     if not out:
         raise PdfError("no pages")
     return out

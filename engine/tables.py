@@ -69,58 +69,49 @@ def _span(attrs: dict, key: str) -> int:
     return min(v, _SPAN_CAP)
 
 
+def _text_parts(node: Node, parts: list[str]) -> list[str]:
+    """Append the subtree's text to ``parts``, excluding nested tables
+    (they are their own table_idx)."""
+    for child in node.children:
+        if isinstance(child, str):
+            parts.append(child)
+        elif child.tag != "table":
+            _text_parts(child, parts)
+    return parts
+
+
 def _cell_text(node: Node) -> str:
-    # Subtree text excluding nested tables (they are their own table_idx).
-    parts: list[str] = []
-
-    def walk(n: Node) -> None:
-        for child in n.children:
-            if isinstance(child, str):
-                parts.append(child)
-            elif child.tag != "table":
-                walk(child)
-
-    walk(node)
-    return " ".join("".join(parts).split())
+    return " ".join("".join(_text_parts(node, [])).split())
 
 
-def _table_trs(table: Node) -> list[Node]:
-    """tr descendants of ``table`` in document order, stopping at nested
-    tables (their rows belong to their own ordinal)."""
-    rows: list[Node] = []
-
-    def walk(n: Node) -> None:
-        for child in n.children:
-            if not isinstance(child, Node) or child.tag == "table":
-                continue
-            if child.tag == "tr":
-                rows.append(child)
-            else:
-                walk(child)
-
-    walk(table)
+def _table_trs(node: Node, rows: list[Node]) -> list[Node]:
+    """Append the tr descendants of ``node`` to ``rows`` in document order,
+    stopping at nested tables (their rows belong to their own ordinal)."""
+    for child in node.children:
+        if not isinstance(child, Node) or child.tag == "table":
+            continue
+        if child.tag == "tr":
+            rows.append(child)
+        else:
+            _table_trs(child, rows)
     return rows
 
 
-def _find_tables(root: Node) -> list[Node]:
-    """All table nodes in pre-order (nested tables AFTER their ancestor)."""
-    found: list[Node] = []
-
-    def walk(n: Node) -> None:
-        for child in n.children:
-            if isinstance(child, Node):
-                if child.tag == "table":
-                    found.append(child)
-                walk(child)
-
-    walk(root)
+def _find_tables(node: Node, found: list[Node]) -> list[Node]:
+    """Append all table nodes below ``node`` to ``found`` in pre-order
+    (nested tables AFTER their ancestor)."""
+    for child in node.children:
+        if isinstance(child, Node):
+            if child.tag == "table":
+                found.append(child)
+            _find_tables(child, found)
     return found
 
 
 def _emit_table(url: str, t_idx: int, table: Node, out: dict) -> None:
     # occupied[r] = set of columns reserved by rowspans from earlier rows
     occupied: dict[int, set[int]] = {}
-    for r_idx, tr in enumerate(_table_trs(table)):
+    for r_idx, tr in enumerate(_table_trs(table, [])):
         row_occ = occupied.pop(r_idx, set())
         col = 0
         for cell in tr.children:
@@ -156,7 +147,7 @@ def _tables_from_batch(t: pa.Table, url_col: str, html_col: str) -> pa.Table:
         except Exception:
             continue  # unparseable page contributes no cells (error channel
             # for page-level failures lives in engine/extract.py)
-        for t_idx, table in enumerate(_find_tables(root)):
+        for t_idx, table in enumerate(_find_tables(root, [])):
             _emit_table(url, t_idx, table, out)
     return pa.table(
         {name: pa.array(vals, type=_CELL_SCHEMA.field(name).type)

@@ -6,8 +6,12 @@ output over the tiny corpus must match byte-for-byte.
 
 from __future__ import annotations
 
+import gc
+import signal
+import time
 from pathlib import Path
 
+import pyarrow as pa
 import pyarrow.parquet as pq
 
 from engine.extract import extract_row, sniff_format, extract_batch
@@ -99,3 +103,47 @@ def test_extractor_registry_roundtrip():
         ex._MAGIC.remove((b"TSV\x00", "tsv"))
     # registry restored: magic now falls through to html
     assert ex.sniff_format(b"TSV\x00a\tb") == "html"
+
+
+def test_extract_row_leaves_no_cyclic_garbage():
+    """Refcounting frees everything a row allocates: no row leaves objects
+    that only the cycle collector can reclaim. engine/extract.py raises the
+    gen-0 GC threshold on this premise; a self-recursive nested function on
+    the kernel path (its closure cell refers back to it) breaks it."""
+    extract_row(b"<html><body><p>warm</p></body></html>")
+    gc.collect()
+    seen = set()
+    for payload in gen_pages_table(200, seed=42)["html"].to_pylist():
+        row = extract_row(payload or b"")
+        seen.add((row["format"], row["status"]))
+        assert gc.collect() == 0, (row["format"], row["status"])
+    # every kernel path ran: the three formats, a rejection, failures
+    assert {("html", "ok"), ("pdf", "ok"), ("docx", "ok"),
+            ("html", "rejected"), ("pdf", "failed"),
+            ("docx", "failed")} <= seen
+
+
+def test_row_timeout_in_batch_fails_only_that_row():
+    from engine import extract as ex
+
+    def slow_extractor(payload: bytes):
+        time.sleep(5)  # the row timer interrupts this
+        return "", "never", []
+
+    def previous_handler(signum, frame):
+        raise AssertionError("the batch's own handler should have run")
+
+    ex.register_extractor("slow", slow_extractor, magic=b"SLOW")
+    old = signal.signal(signal.SIGALRM, previous_handler)
+    try:
+        batch = pa.table({"url": ["a", "b", "c"],
+                          "html": [b"<p>first</p>", b"SLOW", b"<p>third</p>"]})
+        out = ex.extract_batch(batch, row_timeout_s=0.05)
+        assert out["status"].to_pylist() == ["ok", "failed", "ok"]
+        assert out["error"].to_pylist() == ["", "row exceeded 0.05s", ""]
+        assert out["markdown_text"].to_pylist()[2] == "third"
+        assert signal.getsignal(signal.SIGALRM) is previous_handler
+    finally:
+        signal.signal(signal.SIGALRM, old)
+        del ex.EXTRACTORS["slow"]
+        ex._MAGIC.remove((b"SLOW", "slow"))

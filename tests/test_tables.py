@@ -7,9 +7,12 @@ collapse, hostile span attrs, and Ray parallelism invariance.
 
 from __future__ import annotations
 
+import gc
+
 import pyarrow as pa
 import ray.data as rd
 
+from engine.fixtures import gen_pages_table
 from engine.tables import _tables_from_batch, extract_tables
 
 
@@ -96,6 +99,24 @@ def test_no_tables_and_null_html():
     t = pa.table({"url": ["a", "b"],
                   "html": ["<p>plain</p>", None]})
     assert _tables_from_batch(t, "url", "html").num_rows == 0
+
+
+def test_tables_from_batch_leaves_no_cyclic_garbage():
+    """Refcounting frees each page's tree and table list (the premise of
+    the raised gen-0 GC threshold, see engine/extract.py)."""
+    nested = ("<table><tr><td>outer <table><tr><td>inner</td></tr></table>"
+              "</td></tr></table><table><tr><th>second</th></tr></table>")
+    assert len(_cells(nested)) == 3  # warm-up
+    gc.collect()
+    pages = gen_pages_table(200, seed=42)
+    htmls = [nested] + pages["html"].to_pylist()
+    n_cells = 0
+    for i, html in enumerate(htmls):
+        out = _tables_from_batch(pa.table({"url": ["u"], "html": [html]}),
+                                 "url", "html")
+        n_cells += out.num_rows
+        assert gc.collect() == 0, i
+    assert n_cells > 3
 
 
 def test_ray_parallelism_invariance(ray_session):

@@ -24,7 +24,10 @@ trips) is paid once per run, not once per partition:
         (partition, url-hash bucket), writes each group to
         ``part-P.tmp/[bucket=K/]<task>-<seq>.parquet`` and returns only a
         small (partition, rows, rows_ok) count table — extracted rows never
-        enter the object store
+        enter the object store. Every file is encoded by one per-column
+        policy, ``schema.EXTRACTED_PARQUET`` (zstd; dictionaries only for
+        the closed-vocabulary columns; min/max statistics only for the
+        columns a reader prunes by), and reads back like any Parquet file
       → driver: sums the count table as it streams; when partition P's rows
         reach its input's Parquet-footer row count, renames ``part-P.tmp`` to
         ``part-P``, then writes P's manifest.
@@ -40,9 +43,12 @@ fall short of it when the stream ends, raises and is never committed (one
 already committed is retracted, manifest first).
 
 Manifest: ``rows_in``/``rows_ok``/``rows_err`` are the write stage's counts
-(no re-read of the committed ``status`` column). ``wall_s`` is the seconds
-from the start of the run to that partition's commit — partitions share one
-execution, so their walls overlap rather than add up.
+(no re-read of the committed ``status`` column). ``bytes_in`` sums the sizes
+of the partition's input files and ``bytes_out`` those of its committed
+Parquet files, read at commit time — exact under Ray task retries, which
+overwrite their own files. ``wall_s`` is the seconds from the start of the
+run to that partition's commit — partitions share one execution, so their
+walls overlap rather than add up.
 
 On resume, completed partitions are skipped via the manifest 'done' set — the
 §2.5 anti-join, implemented as a driver-side broadcast set because the
@@ -64,7 +70,7 @@ import pyarrow.parquet as pq
 import ray.data
 
 from engine.pipeline import PipelineConfig, extract_pages
-from engine.schema import MANIFEST
+from engine.schema import EXTRACTED_PARQUET, MANIFEST
 
 
 def plan_partitions(input_paths: list[str], num_partitions: int) -> list[list[str]]:
@@ -176,7 +182,8 @@ def _write_block(block: pa.Table, out_dir: str, part_of: dict[str, int],
                       for b in pc.unique(part["bucket"]).to_pylist()]
         for group_dir, group in groups:
             os.makedirs(group_dir, exist_ok=True)
-            pq.write_table(group, os.path.join(group_dir, fname))
+            pq.write_table(group, os.path.join(group_dir, fname),
+                           **EXTRACTED_PARQUET)
         counts["partition"].append(int(pid))
         counts["rows"].append(part.num_rows)
         counts["rows_ok"].append(int(ok[mask].sum()))
@@ -259,6 +266,8 @@ def run_extraction(
                 "rows_ok": ok,
                 "rows_err": rows - ok,
                 "bytes_in": sum(os.path.getsize(f) for f in todo[pid]),
+                "bytes_out": sum(os.path.getsize(f)
+                                 for f in _parquet_files(pdir)),
                 "wall_s": time.time() - t0,
                 "output_path": pdir,
                 "done": True,

@@ -288,6 +288,10 @@ _REF_RE = re.compile(rb"(\d+)\s+(\d+)\s+R\b")
 # hottest line of the content-stream lexer)
 _WS_SKIP_RE = re.compile(rb"(?:[\x00\t\n\x0c\r ]+|%[^\n]*)+")
 _LIT_SPECIAL_RE = re.compile(rb"[()\\]")
+# a whole /Name token up to the next whitespace or delimiter; a token with
+# no #xx escape is its own value (checked by membership on the match: a
+# negative lookahead here backtracks past the '#' instead of failing)
+_NAME_RE = re.compile(rb"/[^\x00\t\n\x0c\r ()<>\[\]{}/%]*")
 
 
 class _Lexer:
@@ -339,6 +343,11 @@ class _Lexer:
         raise PdfError(f"bad token at {p}: {d[p:p+16]!r}")
 
     def _parse_name(self) -> Name:
+        m = _NAME_RE.match(self.data, self.pos)
+        raw = m.group(0)
+        if b"#" not in raw:
+            self.pos = m.end()
+            return Name(raw[1:].decode("latin-1"))
         d = self.data
         p = self.pos + 1
         start = p

@@ -44,6 +44,23 @@ EXTRACTED = pa.schema(
     ]
 )
 
+# How EXTRACTED rows are encoded on disk (pq.write_table / write_parquet
+# keyword arguments), one decision per column:
+#  - zstd at Arrow's default level: fewer bytes than the default snappy on
+#    extracted text, for more write CPU (figures in BASELINE.md);
+#  - dictionaries only for the closed-vocabulary columns: per-row text never
+#    repeats, so a dictionary for it is built and then abandoned;
+#  - min/max statistics only for the columns a reader prunes by: by default
+#    every column chunk's footer also carries its min and max document body
+#    (whole, when under 4 KiB).
+# Names are leaf column paths; pyarrow ignores unknown ones silently, so
+# tests/test_checkpoint.py pins every name against EXTRACTED.
+EXTRACTED_PARQUET = {
+    "compression": "zstd",
+    "use_dictionary": ["format", "status", "error", "spans.list.element.kind"],
+    "write_statistics": ["url", "url_hash", "n_chars", "format", "status"],
+}
+
 # ---- derived: exploded line-chunks (reference chunk_text, app/main.py:243-250)
 CHUNKS = pa.schema(
     [
@@ -63,6 +80,7 @@ MANIFEST = pa.schema(
         pa.field("rows_ok", pa.int64()),
         pa.field("rows_err", pa.int64()),
         pa.field("bytes_in", pa.int64()),
+        pa.field("bytes_out", pa.int64()),
         pa.field("wall_s", pa.float64()),
         pa.field("output_path", pa.string()),
         pa.field("done", pa.bool_()),

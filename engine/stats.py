@@ -26,13 +26,14 @@ def run_rollup(manifest: pa.Table) -> dict:
     """A2 — system-stats analog over the manifest (app/main.py:890-903)."""
     if manifest.num_rows == 0:
         return {"partitions": 0, "rows_in": 0, "rows_ok": 0, "rows_err": 0,
-                "bytes_in": 0, "mean_wall_s": 0.0}
+                "bytes_in": 0, "bytes_out": 0, "mean_wall_s": 0.0}
     return {
         "partitions": manifest.num_rows,
         "rows_in": pc.sum(manifest["rows_in"]).as_py(),
         "rows_ok": pc.sum(manifest["rows_ok"]).as_py(),
         "rows_err": pc.sum(manifest["rows_err"]).as_py(),
         "bytes_in": pc.sum(manifest["bytes_in"]).as_py(),
+        "bytes_out": pc.sum(manifest["bytes_out"]).as_py(),
         "mean_wall_s": pc.mean(manifest["wall_s"]).as_py(),
     }
 

@@ -66,6 +66,11 @@ def _committed_counts(out: str, pid: int) -> tuple[int, int]:
     return rows, ok
 
 
+def _committed_bytes(out: str, pid: int) -> int:
+    return sum(os.path.getsize(f)
+               for f in cp._parquet_files(cp.part_dir(out, pid)))
+
+
 @pytest.mark.parametrize("buckets", [0, 8])
 def test_partial_run_resumes_only_missing(ray_session, tmp_path, buckets):
     src = str(tmp_path / "pages")
@@ -106,7 +111,58 @@ def test_manifest_counts_match_committed_status(ray_session, tmp_path,
         rows, ok = _committed_counts(out, m["partition_id"])
         assert (m["rows_in"], m["rows_ok"], m["rows_err"]) == (
             rows, ok, rows - ok)
+        assert m["bytes_out"] == _committed_bytes(out, m["partition_id"])
         assert m["wall_s"] > 0
+
+
+def _leaf_paths(schema: pa.Schema) -> set[str]:
+    """Parquet leaf column paths (``spans.list.element.kind``) of a schema."""
+    import io
+
+    buf = io.BytesIO()
+    pq.write_table(schema.empty_table(), buf)
+    meta = pq.read_metadata(io.BytesIO(buf.getvalue()))
+    return {meta.schema.column(i).path for i in range(meta.num_columns)}
+
+
+def test_parquet_policy_names_real_columns():
+    """pyarrow ignores unknown names in use_dictionary/write_statistics, so a
+    renamed column would drop out of the policy silently."""
+    from engine.schema import EXTRACTED, EXTRACTED_PARQUET
+
+    leaves = _leaf_paths(EXTRACTED) | {"url_hash"}
+    for key in ("use_dictionary", "write_statistics"):
+        assert set(EXTRACTED_PARQUET[key]) <= leaves, key
+
+
+@pytest.mark.parametrize("buckets", [0, 8])
+def test_committed_files_follow_parquet_policy(ray_session, tmp_path,
+                                               buckets):
+    """Every committed column chunk is zstd, carries statistics exactly when
+    its column is in write_statistics and a dictionary page exactly when it
+    is in use_dictionary."""
+    from engine.schema import EXTRACTED_PARQUET
+
+    src = str(tmp_path / "pages")
+    out = str(tmp_path / "out")
+    write_pages_parquet(src, 40, seed=29, num_files=2)
+    cp.run_extraction(src, out, CFG, num_partitions=2,
+                      url_hash_buckets=buckets)
+    stats_cols = set(EXTRACTED_PARQUET["write_statistics"])
+    dict_cols = set(EXTRACTED_PARQUET["use_dictionary"])
+    files = [f for pid in (0, 1)
+             for f in cp._parquet_files(cp.part_dir(out, pid))]
+    assert files
+    for path in files:
+        meta = pq.read_metadata(path)
+        for rg in range(meta.num_row_groups):
+            for i in range(meta.num_columns):
+                col = meta.row_group(rg).column(i)
+                name = col.path_in_schema
+                assert col.compression == "ZSTD", (path, name)
+                assert col.is_stats_set == (name in stats_cols), (path, name)
+                assert col.has_dictionary_page == (name in dict_cols), (
+                    path, name)
 
 
 @pytest.mark.parametrize("skew", [-1, 1])
@@ -225,6 +281,8 @@ def test_stats_layer(ray_session, tmp_path):
     assert roll["partitions"] == 2
     assert roll["rows_in"] == 60
     assert roll["rows_ok"] == by_status.get("ok", 0)
+    assert roll["bytes_out"] == sum(os.path.getsize(f)
+                                    for f in cp._parquet_files(out)) > 0
 
     top = stats.list_rows(extracted, "n_chars", status="ok", limit=5,
                           tiebreak="url").take_all()

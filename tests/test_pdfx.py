@@ -314,3 +314,32 @@ def test_runlength_truncated_literal_raises():
 
     with pytest.raises(PdfError, match="truncated"):
         _runlength_decode(bytes([10]) + b"abc")  # promises 11, has 3
+
+
+@pytest.mark.parametrize("data, value, end", [
+    (b"/Type /Page", "Type", 5),
+    (b"/F1 12 Tf", "F1", 3),
+    (b"/Name(str)", "Name", 5),
+    (b"/A/B", "A", 2),
+    (b"/", "", 1),
+    (b"/caf\xe9>>", "caf\xe9", 5),
+    (b"/A#20B C", "A B", 6),
+    (b"/Lime#20Green/X", "Lime Green", 13),
+    (b"/A#2", "A#2", 4),  # a '#' too close to the end is kept literally
+])
+def test_name_token(data, value, end):
+    """Plain names take the one-regex path, names with #xx escapes the
+    byte loop; both stop at whitespace or a delimiter."""
+    from engine.pdfx.objects import Name, _Lexer
+
+    lex = _Lexer(data)
+    name = lex._parse_name()
+    assert type(name) is Name
+    assert (name, lex.pos) == (value, end)
+
+
+def test_name_token_bad_escape_raises():
+    from engine.pdfx.objects import _Lexer
+
+    with pytest.raises(ValueError):
+        _Lexer(b"/A#zz ")._parse_name()

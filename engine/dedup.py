@@ -108,16 +108,14 @@ def exact_dedup(ds: "ray.data.Dataset", text_col: str = "text",
        all-to-all of the corpus — the textbook dedup exchange; keeper ids are
        unique so the inner join never duplicates rows)
     """
-    from engine.joins import hash_join
-
-    from engine.joins import _coalesced
+    from engine.joins import _coalesced, exchange_width, hash_join
 
     hashed = ds.map_batches(
         lambda t: add_content_hash(t, text_col), batch_format="pyarrow"
     )
     keepers = (
         _coalesced(hashed.select_columns(["content_hash", id_col]),
-                   32, "auto")  # narrow rows: don't shuffle per tiny block
+                   exchange_width())  # narrow rows: no shuffle per tiny block
         .groupby("content_hash")
         .aggregate(Min(id_col, alias_name=id_col))
         .select_columns([id_col])
@@ -132,7 +130,6 @@ def exact_dedup(ds: "ray.data.Dataset", text_col: str = "text",
 
 def first_per_key(ds: "ray.data.Dataset", key_col: str = "url",
                   order_col: str | None = None,
-                  num_buckets: int = 32,
                   keep: str = "first") -> "ray.data.Dataset":
     """A6 — exact dedup by key: one deterministic winner per key value
     ('first' = min ``order_col``, else min of the remaining columns' tuple,
@@ -148,30 +145,18 @@ def first_per_key(ds: "ray.data.Dataset", key_col: str = "url",
     This is the per-url dedup the byte-identity invariant implies (SURVEY.md
     §2.6 A6): downstream of extraction, one output row per url.
     """
-    from engine.joins import _bucket_of_column
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        return t.append_column("__bucket",
-                               _bucket_of_column(t[key_col], num_buckets))
+    from engine.joins import bucketed_map_groups
 
     if keep not in ("first", "last"):
         raise ValueError(f"keep must be 'first' or 'last', got {keep!r}")
 
     def pick(g: pd.DataFrame) -> pd.DataFrame:
         cols = [order_col] if order_col else \
-            [c for c in g.columns if c not in (key_col, "__bucket")]
+            [c for c in g.columns if c != key_col]
         g = g.sort_values([key_col] + cols, kind="mergesort")
-        return g.drop_duplicates(key_col, keep=keep) \
-            .drop(columns="__bucket")
+        return g.drop_duplicates(key_col, keep=keep)
 
-    from engine.joins import _coalesced
-
-    return (
-        _coalesced(ds.map_batches(add_bucket, batch_format="pyarrow"),
-                   num_buckets, "auto")
-        .groupby("__bucket")
-        .map_groups(pick, batch_format="pandas")
-    )
+    return bucketed_map_groups(ds, key_col, pick)
 
 
 # ---------------------------------------------------------------------------
@@ -470,8 +455,7 @@ def _unique_by_id(ds: "ray.data.Dataset", id_col: str) -> "ray.data.Dataset":
 
 def _attach_pair_columns(pairs: "ray.data.Dataset", side_ds: "ray.data.Dataset",
                          id_col: str, endpoint: str,
-                         renames: dict[str, str],
-                         num_buckets: int = 32) -> "ray.data.Dataset":
+                         renames: dict[str, str]) -> "ray.data.Dataset":
     """hash_join ``pairs`` with ``side_ds`` on pair endpoint ``endpoint``
     (id_a / id_b), renaming side columns per ``renames`` (id_col → endpoint
     implied)."""
@@ -488,8 +472,7 @@ def _attach_pair_columns(pairs: "ray.data.Dataset", side_ds: "ray.data.Dataset",
     # execute it again (lazy-re-execution, CLAUDE.md). Pair+payload volume
     # is candidate-bounded, so the object store (with spill) is the right
     # place for it.
-    return hash_join(pairs, side, on=endpoint,
-                     num_buckets=num_buckets).materialize()
+    return hash_join(pairs, side, on=endpoint).materialize()
 
 
 def _empty_pairs_table(value_col: str,
@@ -1159,8 +1142,7 @@ def minhash_cross_pairs_ds(corpus: "ray.data.Dataset",
 def select_cluster_representatives(
         docs: "ray.data.Dataset", edges: "ray.data.Dataset",
         id_col: str = "doc_id", score_col: str = "score",
-        src: str = "src", dst: str = "dst",
-        num_buckets: int = 32) -> "ray.data.Dataset":
+        src: str = "src", dst: str = "dst") -> "ray.data.Dataset":
     """Keep-BEST near-dup policy: per connected component of the candidate
     pair graph keep the row with the HIGHEST integer quality score (ties →
     lowest id) — the representative-selection step a corpus pipeline runs
@@ -1189,8 +1171,7 @@ def select_cluster_representatives(
 
     _ID_SPAN = 1 << 33
 
-    labels = connected_components(edges, src=src, dst=dst,
-                                  num_buckets=num_buckets) \
+    labels = connected_components(edges, src=src, dst=dst) \
         .map_batches(
             lambda t: pa.table({id_col: t["node"],
                                 "cluster": t["component"]}),
@@ -1199,8 +1180,7 @@ def select_cluster_representatives(
 
     scored = docs.map_batches(lambda t: t.select([id_col, score_col]),
                               batch_format="pyarrow")
-    joined = hash_join(scored, labels, on=id_col, how="left",
-                       num_buckets=num_buckets)
+    joined = hash_join(scored, labels, on=id_col, how="left")
 
     def keyed(t: pa.Table) -> pa.Table:
         ids = t[id_col].to_numpy(zero_copy_only=False).astype(np.int64)

@@ -209,8 +209,8 @@ def parse_robots_rules(ds: "ray.data.Dataset", agent: str,
 
 
 def robots_gate(urls: "ray.data.Dataset", rules: "ray.data.Dataset",
-                url_col: str = "url", host_col: str = "host",
-                num_buckets: int = 32) -> "ray.data.Dataset":
+                url_col: str = "url",
+                host_col: str = "host") -> "ray.data.Dataset":
     """(url, allowed:int64) verdict per RFC 9309 longest-match: among the
     host's active rules whose path-prefix matches the url's path (fragment
     stripped, query kept, empty path → '/'), the LONGEST wins; at equal
@@ -225,7 +225,10 @@ def robots_gate(urls: "ray.data.Dataset", rules: "ray.data.Dataset",
     """
     import numpy as np
 
-    from engine.joins import _bucket_of_column, _coalesced, _ensure_columns
+    from engine.joins import (_bucket_of_column, _coalesced, _ensure_columns,
+                              exchange_width)
+
+    width = exchange_width()
 
     def prep_urls(t: pa.Table) -> pa.Table:
         u = pc.cast(t[url_col], pa.string())
@@ -239,7 +242,7 @@ def robots_gate(urls: "ray.data.Dataset", rules: "ray.data.Dataset",
         return out.append_column(
             "__side", pa.array(np.zeros(t.num_rows, dtype=np.int8))
         ).append_column("__bucket",
-                        _bucket_of_column(out[host_col], num_buckets))
+                        _bucket_of_column(out[host_col], width))
 
     def prep_rules(t: pa.Table) -> pa.Table:
         out = pa.table({
@@ -249,12 +252,11 @@ def robots_gate(urls: "ray.data.Dataset", rules: "ray.data.Dataset",
         return out.append_column(
             "__side", pa.array(np.ones(t.num_rows, dtype=np.int8))
         ).append_column("__bucket",
-                        _bucket_of_column(out[host_col], num_buckets))
+                        _bucket_of_column(out[host_col], width))
 
     tagged = _coalesced(
         urls.map_batches(prep_urls, batch_format="pyarrow").union(
-            rules.map_batches(prep_rules, batch_format="pyarrow")),
-        num_buckets, "auto")
+            rules.map_batches(prep_rules, batch_format="pyarrow")), width)
 
     u_names = [url_col, host_col, "path"]
     r_names = [host_col, "rule", "allow", "rlen"]

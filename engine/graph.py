@@ -22,7 +22,6 @@ DRIVER_EDGE_MAX = 2_000_000  # distinct-edge cap for the driver union-find
 
 def connected_components(edges: "ray.data.Dataset", src: str = "src",
                          dst: str = "dst", max_iters: int = 25,
-                         num_buckets: int = 32,
                          driver_edge_max: int = DRIVER_EDGE_MAX
                          ) -> "ray.data.Dataset":
     """Connected components of an undirected graph given as (src, dst)
@@ -54,11 +53,11 @@ def connected_components(edges: "ray.data.Dataset", src: str = "src",
             "peer": pa.chunked_array([*b.chunks, *a.chunks], type=pa.int64()),
         })
 
-    from engine.joins import _coalesced
+    from engine.joins import _coalesced, exchange_width
 
     sym = (
         _coalesced(edges.map_batches(symmetrize, batch_format="pyarrow"),
-                   num_buckets, "auto")  # shuffle cost scales with block
+                   exchange_width())     # shuffle cost scales with block
         .groupby(["node", "peer"])       # count, not bytes (CLAUDE.md)
         .aggregate(Count(alias_name="__n"))
         .map_batches(lambda t: t.drop_columns(["__n"]),
@@ -108,7 +107,7 @@ def pagerank_int(edges: "ray.data.Dataset", nodes: "ray.data.Dataset",
                  iters: int = 3, base_mass: int = 1_000_000,
                  damp_num: int = 85, damp_den: int = 100,
                  src: str = "src", dst: str = "dst", node: str = "node",
-                 num_buckets: int = 32, n_nodes: int | None = None,
+                 n_nodes: int | None = None,
                  driver_node_max: int = DRIVER_NODE_MAX
                  ) -> "ray.data.Dataset":
     """Integer-exact PageRank over a directed edge table — link-graph
@@ -178,8 +177,7 @@ def pagerank_int(edges: "ray.data.Dataset", nodes: "ray.data.Dataset",
         srcm = masses.map_batches(
             lambda t: pa.table({src: t[node], "m": t["m"]}),
             batch_format="pyarrow")
-        contrib = hash_join(edges, srcm, on=src,
-                            num_buckets=num_buckets).map_batches(
+        contrib = hash_join(edges, srcm, on=src).map_batches(
             lambda t: pa.table({
                 node: pc.cast(t[dst], pa.int64()),
                 # if_else evaluates BOTH branches → clamp the divisor, zero
@@ -255,8 +253,8 @@ def _pagerank_broadcast(edges, nodes, iters, base_mass, teleport,
 
 
 def resolve_redirects(edges: "ray.data.Dataset", src: str = "src",
-                      dst: str = "dst", max_hops: int = 16,
-                      num_buckets: int = 32) -> "ray.data.Dataset":
+                      dst: str = "dst",
+                      max_hops: int = 16) -> "ray.data.Dataset":
     """Follow HTTP-redirect chains to their terminal target — the crawl
     canonicalization step (a 301 map is (src, dst) with ONE dst per src;
     duplicate srcs are undefined input). Returns one row per input src:
@@ -291,8 +289,7 @@ def resolve_redirects(edges: "ray.data.Dataset", src: str = "src",
             lambda t: pa.table({"nxt": t["src"], "nxt2": t["nxt"],
                                 "hops2": t["hops"]}),
             batch_format="pyarrow")
-        joined = hash_join(cur, hop, on="nxt", num_buckets=num_buckets,
-                           how="left")
+        joined = hash_join(cur, hop, on="nxt", how="left")
 
         def jump(t: pa.Table) -> pa.Table:
             hit = pc.is_valid(t["nxt2"])
@@ -319,7 +316,7 @@ def resolve_redirects(edges: "ray.data.Dataset", src: str = "src",
                                 "__hit": pa.array(
                                     np.ones(t.num_rows, dtype=np.int8))}),
             batch_format="pyarrow"),
-        on="nxt", num_buckets=num_buckets, how="left")
+        on="nxt", how="left")
 
     def finish(t: pa.Table) -> pa.Table:
         ok = pc.and_(pc.is_null(t["__hit"]),

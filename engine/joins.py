@@ -2,7 +2,7 @@
 
 The reference has no relational joins (its only lookup is the job_id point
 lookup); this is the scale primitive for when BOTH sides are too big to
-broadcast: tag + bucket each side by ``hash(key) % num_buckets``, union the
+broadcast: tag + bucket each side by ``hash(key) % width``, union the
 two NARROW streams (each side ships only its own columns plus the 5-byte
 side/bucket tag — no null padding crosses the wire), hash-partition once on
 the bucket column, and merge matching buckets pairwise with pyarrow's Acero
@@ -20,9 +20,16 @@ Partitioning assumptions (documented per the custom-operator rule):
   two's-complement bit pattern — negative keys wrap, never raise; strings use
   pandas' fixed-key siphash — never Python ``hash()``, which is per-process
   salted);
-- a single bucket's rows fit in one worker's heap — size ``num_buckets`` so
-  max(bucket) ≈ a block; salt hot keys into sub-buckets before calling this
-  if one key alone exceeds that (key skew is the caller's knowledge).
+- a single bucket's rows fit in one worker's heap; salt hot keys into
+  sub-buckets before calling this if one key alone exceeds that (key skew
+  is the caller's knowledge).
+
+Exchange width: every key-hash exchange in the query layer has
+``exchange_width()`` buckets — the cluster's CPU count, capped at 32 — read
+once on the driver while the operator builds its plan. More buckets than
+CPUs only add per-group overhead: on one vCPU the ten slowest registry
+entries at sf0.001 ran 149 s at 32 buckets and 10 s at 1. The width never
+changes an operator's output.
 
 Broadcast joins (small side) live in engine/queries.py (AttachSegment); use
 those whenever one side fits in the object store — no shuffle at all.
@@ -50,6 +57,14 @@ _ACERO_HOW = {
     "semi": "left semi",
     "anti": "left anti",
 }
+
+
+def exchange_width() -> int:
+    """Bucket count of every key-hash exchange: the connected cluster's CPU
+    count, capped at 32. Read on the driver while a plan is built, never in
+    a worker, and never cached (a process may re-init Ray at another
+    width)."""
+    return max(1, min(32, int(ray.cluster_resources().get("CPU", 1))))
 
 
 def _bucket_of_column(col: pa.ChunkedArray | pa.Array, num_buckets: int) -> pa.Array:
@@ -91,28 +106,21 @@ def _ensure_columns(tbl: pa.Table, names: list[str], types: dict) -> pa.Table:
     return pa.table(cols)
 
 
-def _coalesced(tagged: "ray.data.Dataset", num_buckets: int,
-               coalesce) -> "ray.data.Dataset":
-    """Coalesce the tagged union to ~2×num_buckets blocks before the bucket
+def _coalesced(tagged: "ray.data.Dataset", width: int) -> "ray.data.Dataset":
+    """Coalesce the tagged union to ~2×width blocks before the bucket
     groupby. Ray's sort-shuffle cost scales with INPUT BLOCK COUNT (map
     tasks + reduce partitions), so a fragmented input (many small files ×
     SplitBlocks) pays per-block Python/scheduling overhead that dwarfs the
     data: measured 9.4 s → 2.2 s on a 384-block 11.5k-row join. repartition
     without shuffle is a streaming split/coalesce, not an exchange; the
-    reduce side only ever produces num_buckets groups, so blocks beyond
-    ~2× that count buy nothing. Pass coalesce=None to disable (e.g. when
-    one block must not exceed worker heap at extreme row widths)."""
-    if coalesce == "auto":
-        coalesce = 2 * num_buckets
-    if coalesce:
-        return tagged.repartition(coalesce)
-    return tagged
+    reduce side only ever produces ``width`` groups, so blocks beyond
+    ~2× that count buy nothing."""
+    return tagged.repartition(2 * width)
 
 
 def hash_join(left: "ray.data.Dataset", right: "ray.data.Dataset", on: str,
-              num_buckets: int = 32, how: str = "inner",
-              suffixes: tuple[str, str] = ("", "_r"),
-              coalesce="auto") -> "ray.data.Dataset":
+              how: str = "inner",
+              suffixes: tuple[str, str] = ("", "_r")) -> "ray.data.Dataset":
     """Partitioned hash join of two Datasets on column ``on``.
 
     Returns a Dataset with pandas-merge column semantics (shared non-key
@@ -127,6 +135,7 @@ def hash_join(left: "ray.data.Dataset", right: "ray.data.Dataset", on: str,
     if filtering:
         right = right.map_batches(lambda t: t.select([on]),
                                   batch_format="pyarrow")
+    width = exchange_width()
     l_schema = left.schema()
     r_schema = right.schema()
     l_names = list(l_schema.names)
@@ -139,7 +148,7 @@ def hash_join(left: "ray.data.Dataset", right: "ray.data.Dataset", on: str,
             n = t.num_rows
             cols = {name: t[name] for name in t.column_names}
             cols["__side"] = pa.array(np.full(n, side, dtype=np.int8))
-            cols["__bucket"] = _bucket_of_column(t[on], num_buckets)
+            cols["__bucket"] = _bucket_of_column(t[on], width)
             return pa.table(cols)
 
         return f
@@ -151,7 +160,7 @@ def hash_join(left: "ray.data.Dataset", right: "ray.data.Dataset", on: str,
     tagged = _coalesced(
         left.map_batches(_prep(0), batch_format="pyarrow").union(
             right.map_batches(_prep(1), batch_format="pyarrow")
-        ), num_buckets, coalesce)
+        ), width)
 
     def merge_bucket(g: pa.Table) -> pa.Table:
         side = g["__side"]
@@ -165,8 +174,7 @@ def hash_join(left: "ray.data.Dataset", right: "ray.data.Dataset", on: str,
 
 
 def asof_join(left: "ray.data.Dataset", right: "ray.data.Dataset", by: str,
-              on: str, right_on: str | None = None,
-              num_buckets: int = 32, coalesce="auto") -> "ray.data.Dataset":
+              on: str, right_on: str | None = None) -> "ray.data.Dataset":
     """Backward as-of join (point-in-time lookup) — an operator Ray Data
     lacks: for every left row, attach the LAST right row of the same ``by``
     key whose ``right_on`` ≤ the left row's ``on`` (left-join semantics; no
@@ -187,6 +195,7 @@ def asof_join(left: "ray.data.Dataset", right: "ray.data.Dataset", by: str,
     sort-order-dependent.
     """
     right_on = right_on or on
+    width = exchange_width()
     l_schema = left.schema()
     r_schema = right.schema()
     l_names = list(l_schema.names)
@@ -198,7 +207,7 @@ def asof_join(left: "ray.data.Dataset", right: "ray.data.Dataset", by: str,
         def f(t: pa.Table) -> pa.Table:
             cols = {name: t[name] for name in t.column_names}
             cols["__side"] = pa.array(np.full(t.num_rows, side, dtype=np.int8))
-            cols["__bucket"] = _bucket_of_column(t[by], num_buckets)
+            cols["__bucket"] = _bucket_of_column(t[by], width)
             return pa.table(cols)
 
         return f
@@ -206,7 +215,7 @@ def asof_join(left: "ray.data.Dataset", right: "ray.data.Dataset", by: str,
     tagged = _coalesced(
         left.map_batches(_prep(0), batch_format="pyarrow").union(
             right.map_batches(_prep(1), batch_format="pyarrow")
-        ), num_buckets, coalesce)
+        ), width)
 
     # output columns, pandas-merge_asof naming semantics: every left column
     # (left order), then every right column except ``by`` (appears once) and
@@ -267,8 +276,8 @@ def asof_join(left: "ray.data.Dataset", right: "ray.data.Dataset", by: str,
 
 
 def interval_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
-                  by: str, on: str, start_col: str, end_col: str,
-                  num_buckets: int = 32) -> "ray.data.Dataset":
+                  by: str, on: str, start_col: str,
+                  end_col: str) -> "ray.data.Dataset":
     """Range/interval join — attach, per ``by`` key, the right interval
     [start_col, end_col) that CONTAINS the left row's ``on`` value
     (left-join semantics; no containing interval → attached columns null).
@@ -292,8 +301,7 @@ def interval_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
         attached.append(f"{name}_r" if name in l_names else name)
     end_out = f"{end_col}_r" if end_col in l_names else end_col
 
-    j = asof_join(left, right, by=by, on=on, right_on=start_col,
-                  num_buckets=num_buckets)
+    j = asof_join(left, right, by=by, on=on, right_on=start_col)
 
     def verify(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
@@ -353,8 +361,8 @@ def _key_codes(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
 
 
 def bloom_semi_join(probe: "ray.data.Dataset", build: "ray.data.Dataset",
-                    on: str, *, num_bits: int = 1 << 23, num_hashes: int = 2,
-                    num_buckets: int = 32) -> "ray.data.Dataset":
+                    on: str, *, num_bits: int = 1 << 23,
+                    num_hashes: int = 2) -> "ray.data.Dataset":
     """Semi join ``probe ⋉ build`` with a broadcast Bloom-filter prefilter.
 
     Plan: (1) the build side's KEY COLUMN streams through ``map_batches``
@@ -402,13 +410,11 @@ def bloom_semi_join(probe: "ray.data.Dataset", build: "ray.data.Dataset",
         return t.filter(pa.array(bits.all(axis=1)))
 
     survivors = probe.map_batches(prefilter, batch_format="pyarrow")
-    return hash_join(survivors, build, on=on, how="semi",
-                     num_buckets=num_buckets)
+    return hash_join(survivors, build, on=on, how="semi")
 
 
 def snapshot_delta(old: "ray.data.Dataset", new: "ray.data.Dataset",
                    on: str = "url", fingerprint: str = "fp",
-                   num_buckets: int = 32,
                    status_col: str = "status") -> "ray.data.Dataset":
     """Incremental-crawl diff of two corpus snapshots — classify every key
     as ``new`` / ``deleted`` / ``changed`` / ``unchanged`` by comparing a
@@ -429,7 +435,7 @@ def snapshot_delta(old: "ray.data.Dataset", new: "ray.data.Dataset",
     n = new.map_batches(
         lambda t: pa.table({on: t[on], "fp_new": t[fingerprint]}),
         batch_format="pyarrow")
-    joined = hash_join(o, n, on=on, how="outer", num_buckets=num_buckets)
+    joined = hash_join(o, n, on=on, how="outer")
 
     def classify(t: pa.Table) -> pa.Table:
         fo, fn = t["fp_old"], t["fp_new"]
@@ -456,7 +462,7 @@ def snapshot_delta(old: "ray.data.Dataset", new: "ray.data.Dataset",
 
 
 def detect_hot_keys(ds: "ray.data.Dataset", on: str,
-                    frac: float = 0.01, num_buckets: int = 32) -> set:
+                    frac: float = 0.01) -> set:
     """Keys holding more than ``frac`` of all rows — the salting candidates.
 
     One narrow (key)->Count partial-agg exchange (per-block Acero pre-agg,
@@ -472,7 +478,7 @@ def detect_hot_keys(ds: "ray.data.Dataset", on: str,
 
     counts = (
         _coalesced(ds.map_batches(local, batch_format="pyarrow"),
-                   num_buckets, "auto")
+                   exchange_width())
         .groupby(on).aggregate(Sum("n", alias_name="n")).to_pandas()
     )
     total = counts["n"].sum()
@@ -480,9 +486,8 @@ def detect_hot_keys(ds: "ray.data.Dataset", on: str,
 
 
 def salted_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
-                on: str, hot_keys, salt: int = 8, num_buckets: int = 32,
-                how: str = "inner", suffixes: tuple[str, str] = ("", "_r"),
-                coalesce="auto") -> "ray.data.Dataset":
+                on: str, hot_keys, salt: int = 8, how: str = "inner",
+                suffixes: tuple[str, str] = ("", "_r")) -> "ray.data.Dataset":
     """:func:`hash_join` for skewed keys: rows whose key is in ``hot_keys``
     are spread across ``salt`` sub-buckets (left side) / replicated into
     all of them (right side), so no single worker ever holds a hot key's
@@ -496,7 +501,7 @@ def salted_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
     :func:`detect_hot_keys`. Scale contract: right-side hot rows are
     replicated salt× — the right side is the smaller-per-key side by
     contract (dimension rows, aggregates); left hot sub-buckets hold
-    ~|hot key| / salt rows, so pick salt ≈ hot-key share × num_buckets.
+    ~|hot key| / salt rows, so pick salt ≈ hot-key share × exchange width.
     """
     if how not in ("inner", "left", "semi", "anti"):
         raise ValueError(f"salted_join supports inner|left|semi|anti, "
@@ -513,11 +518,12 @@ def salted_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
     l_types = dict(zip(l_schema.names, l_schema.types))
     r_types = dict(zip(r_schema.names, r_schema.types))
     hot_arr = pa.array(sorted(hot_keys), type=l_types[on])
+    width = exchange_width()
 
     def _bucket_mix(key_col, s: np.ndarray) -> pa.Array:
-        base = _bucket_of_column(key_col, num_buckets).to_numpy()
+        base = _bucket_of_column(key_col, width).to_numpy()
         return pa.array(((base.astype(np.int64) + s.astype(np.int64) * 40503)
-                         % num_buckets).astype(np.int32))
+                         % width).astype(np.int32))
 
     def prep_left(t: pa.Table) -> pa.Table:
         n = t.num_rows
@@ -553,7 +559,7 @@ def salted_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
     tagged = _coalesced(
         left.map_batches(prep_left, batch_format="pyarrow").union(
             right.map_batches(prep_right, batch_format="pyarrow")
-        ), num_buckets, coalesce)
+        ), width)
 
     le = l_names + ["__salt"]
     re_ = r_names + ["__salt"]
@@ -573,26 +579,28 @@ def salted_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
 
 
 def bucketed_map_groups(ds: "ray.data.Dataset", key_col: str, fn,
-                        num_buckets: int = 32, cols: "list[str] | None" = None,
+                        cols: "list[str] | None" = None,
                         batch_format: str = "pandas") -> "ray.data.Dataset":
     """The bucket discipline as a public operator: run ``fn`` once per
     KEY-HASH BUCKET (not per key) with every row of every key in that
     bucket co-located — the building block behind sessionize / funnel /
     transitions / ntile / top-k here. ``fn`` must handle ALL keys in its
-    frame vectorized; Python-call count is capped at ``num_buckets``
+    frame vectorized; Python-call count is capped at the exchange width
     regardless of key cardinality (groupby(key).map_groups pays one call
     per key — minutes at web-scale key counts, CLAUDE.md).
 
     ``cols``: optional projection before the exchange (ship only what fn
     needs). The ``__bucket`` column is added for the exchange and dropped
     from ``fn``'s view. Partitioning assumption: one bucket's rows fit a
-    worker's heap — size num_buckets to the corpus like any shuffle.
+    worker's heap.
     """
+    width = exchange_width()
+
     def add_bucket(t: pa.Table) -> pa.Table:
         if cols is not None:
             t = t.select(cols)
         return t.append_column("__bucket",
-                               _bucket_of_column(t[key_col], num_buckets))
+                               _bucket_of_column(t[key_col], width))
 
     if batch_format == "pandas":
         def run(g):
@@ -602,8 +610,7 @@ def bucketed_map_groups(ds: "ray.data.Dataset", key_col: str, fn,
             return fn(g.drop_columns(["__bucket"]))
 
     return (
-        _coalesced(ds.map_batches(add_bucket, batch_format="pyarrow"),
-                   num_buckets, "auto")
+        _coalesced(ds.map_batches(add_bucket, batch_format="pyarrow"), width)
         .groupby("__bucket")
         .map_groups(run, batch_format=batch_format)
     )

@@ -843,8 +843,7 @@ def extract_hreflang(ds: "ray.data.Dataset", url_col: str = "url",
 
 
 def anchor_corpus(ds: "ray.data.Dataset", url_col: str = "url",
-                  html_col: str = "html",
-                  num_buckets: int = 32) -> "ray.data.Dataset":
+                  html_col: str = "html") -> "ray.data.Dataset":
     """Inbound anchor-text corpus: for every link TARGET, the ordered
     concatenation of anchor texts pointing at it — the classic
     page-surrogate signal (anchor text often describes a target better
@@ -859,7 +858,7 @@ def anchor_corpus(ds: "ray.data.Dataset", url_col: str = "url",
     (dst, src, pos, text) rows (pages never cross the wire);
     per-bucket ordered string_agg is vectorized pandas
     (:func:`engine.joins.bucketed_map_groups` — Python calls capped at
-    num_buckets)."""
+    the exchange width)."""
     import pandas as pd
 
     from engine.joins import bucketed_map_groups
@@ -886,7 +885,7 @@ def anchor_corpus(ds: "ray.data.Dataset", url_col: str = "url",
         agg["n_anchors"] = agg["n_anchors"].astype("int64")
         return agg.reset_index()
 
-    return bucketed_map_groups(rows, "dst", per_bucket, num_buckets)
+    return bucketed_map_groups(rows, "dst", per_bucket)
 
 
 _OUTLINE_SCHEMA = pa.schema([

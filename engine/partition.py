@@ -208,8 +208,7 @@ def stable_split(ds: "ray.data.Dataset", id_col: str = "doc_id",
 def cluster_split(docs: "ray.data.Dataset", edges: "ray.data.Dataset",
                   id_col: str = "doc_id", src: str = "src",
                   dst: str = "dst", train_pct: int = 80, val_pct: int = 10,
-                  salt: str = "split",
-                  num_buckets: int = 32) -> "ray.data.Dataset":
+                  salt: str = "split") -> "ray.data.Dataset":
     """Leakage-safe train/val/test split: every near-duplicate cluster
     (a connected component of the pair graph ``edges`` — MinHash/SemDeDup
     candidate output) lands in ONE split, so held-out data never contains
@@ -230,8 +229,7 @@ def cluster_split(docs: "ray.data.Dataset", edges: "ray.data.Dataset",
     from engine.graph import connected_components
     from engine.joins import hash_join
 
-    labels = connected_components(edges, src=src, dst=dst,
-                                  num_buckets=num_buckets) \
+    labels = connected_components(edges, src=src, dst=dst) \
         .map_batches(
             lambda t: pa.table({id_col: t["node"], "cluster": t["component"]}),
             batch_format="pyarrow") \
@@ -239,8 +237,7 @@ def cluster_split(docs: "ray.data.Dataset", edges: "ray.data.Dataset",
 
     ids = docs.map_batches(lambda t: t.select([id_col]),
                            batch_format="pyarrow")
-    joined = hash_join(ids, labels, on=id_col, how="left",
-                       num_buckets=num_buckets)
+    joined = hash_join(ids, labels, on=id_col, how="left")
 
     def assign(t: pa.Table) -> pa.Table:
         cluster = pc.coalesce(t["cluster"], pc.cast(t[id_col], pa.int64()))
@@ -254,8 +251,8 @@ def cluster_split(docs: "ray.data.Dataset", edges: "ray.data.Dataset",
 
 
 def cap_per_key(ds: "ray.data.Dataset", key_col: str, k: int,
-                id_col: str = "doc_id", salt: str = "cap",
-                num_buckets: int = DEFAULT_BUCKETS) -> "ray.data.Dataset":
+                id_col: str = "doc_id",
+                salt: str = "cap") -> "ray.data.Dataset":
     """Deterministic per-key downsampling cap — keep at most ``k`` rows per
     key, chosen by salted-md5 rank of the id: the "cap documents per
     domain/source" primitive of a web-corpus pipeline. Membership depends
@@ -264,7 +261,8 @@ def cap_per_key(ds: "ray.data.Dataset", key_col: str, k: int,
 
     Plan: one vectorized md5-rank column per batch, then
     :func:`engine.stats.top_k_per_group` ascending on the rank (per-batch
-    rank prune before the exchange, Python calls capped at num_buckets).
+    rank prune before the exchange, Python calls capped at the exchange
+    width).
     SQL twin: row_number() OVER (PARTITION BY key ORDER BY
     md5(salt||':'||id), id) <= k.
     """
@@ -279,13 +277,13 @@ def cap_per_key(ds: "ray.data.Dataset", key_col: str, k: int,
 
     ranked = ds.map_batches(add_rank, batch_format="pyarrow")
     kept = top_k_per_group(ranked, key_col, "__h", k, descending=False,
-                           tiebreak_col=id_col, num_buckets=num_buckets)
+                           tiebreak_col=id_col)
     return kept.map_batches(lambda t: t.drop_columns(["__h"]),
                             batch_format="pyarrow")
 
 
 def global_shuffle(ds: "ray.data.Dataset", id_col: str = "doc_id",
-                   salt: str = "shuf", num_buckets: int = DEFAULT_BUCKETS,
+                   salt: str = "shuf",
                    pos_col: str = "shuffle_pos") -> "ray.data.Dataset":
     """Reproducible global random shuffle for training order: attach
     ``pos_col`` = rank of md5(salt:id) — the corpus in ``pos_col`` order is
@@ -297,8 +295,8 @@ def global_shuffle(ds: "ray.data.Dataset", id_col: str = "doc_id",
     Plan: one vectorized-batch key pass (same md5 discipline as
     ``stable_split_batch``; 60-bit hex slice — the engine.stats sketch
     keying) + :func:`_attach_rank_unique` — shuffle keys are unique and
-    uniform, so rank = bucketed prefix COUNT (driver prefix over
-    num_buckets scalars + one bucketed exchange), never a full-table sort
+    uniform, so rank = bucketed prefix COUNT (driver prefix over one
+    scalar per bucket + one bucketed exchange), never a full-table sort
     and no rank join. SQL twin: rank() OVER (ORDER BY CAST('0x' ||
     substr(md5(salt||':'||id),1,15) AS BIGINT)).
     """
@@ -312,14 +310,13 @@ def global_shuffle(ds: "ray.data.Dataset", id_col: str = "doc_id",
         return t.append_column("__shufkey", pa.array(keys, type=pa.int64()))
 
     keyed = ds.map_batches(add_key, batch_format="pyarrow")
-    ranked = _attach_rank_unique(keyed, "__shufkey", pos_col, num_buckets)
+    ranked = _attach_rank_unique(keyed, "__shufkey", pos_col)
     return ranked.map_batches(lambda t: t.drop_columns(["__shufkey"]),
                               batch_format="pyarrow")
 
 
 def _attach_rank_unique(keyed: "ray.data.Dataset", key_col: str,
-                        pos_col: str, num_buckets: int,
-                        ) -> "ray.data.Dataset":
+                        pos_col: str) -> "ray.data.Dataset":
     """Attach ``pos_col`` = 1-based rank of ``key_col`` for UNIQUE uniform
     60-bit keys (salted-md5 shuffle/mix keys) — the cheap path where
     global_rank's generic machinery (distinct-count exchange + rank
@@ -327,31 +324,31 @@ def _attach_rank_unique(keyed: "ray.data.Dataset", key_col: str,
     :func:`_keyed_prefix`. Precondition: keys unique in [0, 2^60) —
     a 60-bit md5 collision is ~n²/2^61 and the SQL oracle would catch it.
     """
-    return _keyed_prefix(keyed, key_col, None, num_buckets, pos_col,
-                         lambda p: p + 1)
+    return _keyed_prefix(keyed, key_col, None, pos_col, lambda p: p + 1)
 
 
 def _keyed_prefix(keyed: "ray.data.Dataset", key_col: str,
-                  weight_col: "str | None", num_buckets: int,
-                  out_col: str, finish,
+                  weight_col: "str | None", out_col: str, finish,
                   domain: int = 1 << 60) -> "ray.data.Dataset":
     """Attach ``out_col`` = finish(exclusive prefix sum of ``weight_col``
     in ``key_col`` order) WITHOUT a global sort — the one prefix machine
     under global_shuffle / mix_corpora (unit weights → rank) and
     pack_shards (token weights → greedy shard): range-bucket the rows over
     the uniform [0, 2^60) key domain (monotone float bucketing keeps the
-    range property), per-bucket totals → driver exclusive prefix over
-    ``num_buckets`` scalars, ONE bucketed exchange with a per-bucket
+    range property), per-bucket totals → driver exclusive prefix over one
+    scalar per bucket, ONE bucketed exchange with a per-bucket
     vectorized argsort + cumsum. ``weight_col=None`` means unit weights
     (the totals pass ships a Count instead of a Sum)."""
     from ray.data.aggregate import Count, Sum
 
-    from engine.joins import _coalesced
+    from engine.joins import _coalesced, exchange_width
+
+    width = exchange_width()
 
     def add_bucket(t: pa.Table) -> pa.Table:
         k = t[key_col].to_numpy(zero_copy_only=False)
         b = np.minimum((k.astype(np.float64) / float(domain)
-                        * num_buckets).astype(np.int64), num_buckets - 1)
+                        * width).astype(np.int64), width - 1)
         return t.append_column("__bucket", pa.array(b, type=pa.int32()))
 
     # consumed by the totals pass AND the assign exchange (lazy-re-exec)
@@ -368,7 +365,7 @@ def _keyed_prefix(keyed: "ray.data.Dataset", key_col: str,
                 "w": pc.cast(t[weight_col], pa.int64())}),
             batch_format="pyarrow")
             .groupby("__bucket").aggregate(Sum("w", alias_name="n")))
-    totals = np.zeros(num_buckets, dtype=np.int64)
+    totals = np.zeros(width, dtype=np.int64)
     for r in agg.take_all():
         totals[r["__bucket"]] = r["n"]
     offsets = np.concatenate([[0], np.cumsum(totals)[:-1]])
@@ -389,7 +386,7 @@ def _keyed_prefix(keyed: "ray.data.Dataset", key_col: str,
         return g.append_column(
             out_col, pa.array(finish(prefix), type=pa.int64()))
 
-    out = (_coalesced(bucketed, num_buckets, "auto")
+    out = (_coalesced(bucketed, width)
            .groupby("__bucket").map_groups(assign, batch_format="pyarrow"))
     return out.map_batches(lambda t: t.drop_columns(["__bucket"]),
                            batch_format="pyarrow")
@@ -397,8 +394,7 @@ def _keyed_prefix(keyed: "ray.data.Dataset", key_col: str,
 
 def mix_corpora(sources: "dict[str, ray.data.Dataset]",
                 rates: dict[str, int], id_col: str = "doc_id",
-                salt: str = "mix", num_buckets: int = DEFAULT_BUCKETS,
-                pos_col: str = "mix_pos",
+                salt: str = "mix", pos_col: str = "mix_pos",
                 source_col: str = "source") -> "ray.data.Dataset":
     """Deterministic weighted corpus mixing — the "blend web/books/code at
     target proportions" step that precedes tokenization in a training-data
@@ -446,14 +442,14 @@ def mix_corpora(sources: "dict[str, ray.data.Dataset]",
     unioned = parts[0]
     for p in parts[1:]:
         unioned = unioned.union(p)
-    ranked = _attach_rank_unique(unioned, "__mixkey", pos_col, num_buckets)
+    ranked = _attach_rank_unique(unioned, "__mixkey", pos_col)
     return ranked.map_batches(lambda t: t.drop_columns(["__mixkey"]),
                               batch_format="pyarrow")
 
 
 def curriculum_order(ds: "ray.data.Dataset", tier_col: str,
                      num_tiers: int, id_col: str = "doc_id",
-                     salt: str = "cur", num_buckets: int = 16,
+                     salt: str = "cur",
                      pos_col: str = "cur_pos") -> "ray.data.Dataset":
     """Curriculum training order: position = rank over (tier DESC, salted
     md5(id)) — highest-quality tier first, reproducibly shuffled within
@@ -477,7 +473,7 @@ def curriculum_order(ds: "ray.data.Dataset", tier_col: str,
         return t.append_column("__curkey", pa.array(key, type=pa.int64()))
 
     keyed = ds.map_batches(add_key, batch_format="pyarrow")
-    ranked = _keyed_prefix(keyed, "__curkey", None, num_buckets, pos_col,
+    ranked = _keyed_prefix(keyed, "__curkey", None, pos_col,
                            lambda p: p + 1,
                            domain=num_tiers * (1 << 60))
     return ranked.map_batches(lambda t: t.drop_columns(["__curkey"]),
@@ -527,7 +523,7 @@ def repeat_weighted(ds: "ray.data.Dataset", times_num: int, times_den: int,
 
 def pack_shards(ds: "ray.data.Dataset", weight_col: str,
                 id_col: str = "doc_id", shard_weight: int = 1 << 24,
-                salt: str = "shard", num_buckets: int = 32,
+                salt: str = "shard",
                 shard_col: str = "shard_id") -> "ray.data.Dataset":
     """Equal-weight output sharding — assign every row the training shard
     it starts in when the corpus is laid out in reproducible shuffle order
@@ -538,9 +534,9 @@ def pack_shards(ds: "ray.data.Dataset", weight_col: str,
     shard_id = (exclusive prefix sum of ``weight_col`` in md5(salt:id)
     order) // shard_weight — i.e. SQL ``(sum(w) OVER (ORDER BY key) - w)
     // S``, computed by :func:`_keyed_prefix` (the shared no-global-sort
-    prefix machine: bucket totals → driver prefix of num_buckets scalars →
-    one bucketed exchange). Rows cross the wire once — inherent, the
-    assignment IS an output re-layout; at scale write shards directly
+    prefix machine: bucket totals → driver prefix of one scalar per
+    bucket → one bucketed exchange). Rows cross the wire once — inherent,
+    the assignment IS an output re-layout; at scale write shards directly
     from the bucketed pass.
     """
     md5 = hashlib.md5
@@ -553,7 +549,7 @@ def pack_shards(ds: "ray.data.Dataset", weight_col: str,
         return t.append_column("__key", pa.array(keys, type=pa.int64()))
 
     keyed = ds.map_batches(add_key, batch_format="pyarrow")
-    out = _keyed_prefix(keyed, "__key", weight_col, num_buckets,
-                        shard_col, lambda p: p // shard_weight)
+    out = _keyed_prefix(keyed, "__key", weight_col, shard_col,
+                        lambda p: p // shard_weight)
     return out.map_batches(lambda t: t.drop_columns(["__key"]),
                            batch_format="pyarrow")

@@ -254,7 +254,7 @@ def q_large_join(sf_dir: str):
                             "o_orderpriority": t["o_orderpriority"]}),
         batch_format="pyarrow",
     )
-    joined = hash_join(li, orders, on="okey", num_buckets=32)
+    joined = hash_join(li, orders, on="okey")
     agg = joined.groupby("o_orderpriority").aggregate(
         Count(alias_name="n_items"), Sum("l_quantity", alias_name="sum_qty")
     )
@@ -1346,7 +1346,7 @@ def q_region_revenue(sf_dir: str):
             lambda t: pa.table({"ckey": t["o_custkey"],
                                 "o_totalprice": t["o_totalprice"]}),
             batch_format="pyarrow")
-    joined = hash_join(orders, cust, on="ckey", num_buckets=32)
+    joined = hash_join(orders, cust, on="ckey")
     agg = joined.groupby("r_name").aggregate(
         Count(alias_name="n_orders"),
         Sum("o_totalprice", alias_name="sum_price"))
@@ -2844,11 +2844,7 @@ def q_global_shuffle(sf_dir: str):
     from engine.partition import global_shuffle
 
     docs = _read(sf_dir, "documents", ["doc_id"])
-    # bucket count sized to the table (_attach_rank_unique runs one
-    # map_groups assign call + one Count row per bucket): 16 for the
-    # 5k-row fixture; at corpus scale pass hundreds — cost per bucket is
-    # constant, capacity scales
-    return global_shuffle(docs, "doc_id", num_buckets=16).select_columns(
+    return global_shuffle(docs, "doc_id").select_columns(
         ["doc_id", "shuffle_pos"])
 
 
@@ -2971,8 +2967,7 @@ def q_mix_corpora(sf_dir: str):
         "books": docs.map_batches(part(1), batch_format="pyarrow"),
         "code": docs.map_batches(part(2), batch_format="pyarrow"),
     }
-    mixed = mix_corpora(sources, {"web": 80, "books": 50, "code": 25},
-                        num_buckets=16)
+    mixed = mix_corpora(sources, {"web": 80, "books": 50, "code": 25})
     return mixed.select_columns(["doc_id", "source", "mix_pos"])
 
 
@@ -3047,7 +3042,7 @@ def q_shard_pack(sf_dir: str):
     """Equal-weight output sharding (engine.partition.pack_shards):
     documents' real token counts, greedy 2000-token shards in md5-shuffle
     order, computed with NO global sort (bucket totals → driver prefix of
-    num_buckets scalars → one bucketed exchange). DuckDB twin: the window
+    one scalar per bucket → one bucketed exchange). DuckDB twin: the window
     cumsum (sum OVER (ORDER BY the 60-bit md5 key) - w) // 2000, CAST
     AS BIGINT per the HUGEINT rule."""
     from engine.partition import pack_shards

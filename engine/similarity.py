@@ -528,7 +528,7 @@ def _greedy_dups(ids: np.ndarray, V: np.ndarray, tau: float,
 
 def semdedup(ds: "ray.data.Dataset", centroids: np.ndarray,
              threshold: float = 0.9, id_col: str = "doc_id",
-             vec_col: str = "embedding", num_buckets: int = 32,
+             vec_col: str = "embedding",
              chunk: int | None = None) -> "ray.data.Dataset":
     """SemDeDup over a corpus with an embedding column: returns the
     (cluster, dup_id, keeper_id) rows — every doc NOT listed is kept.
@@ -537,9 +537,10 @@ def semdedup(ds: "ray.data.Dataset", centroids: np.ndarray,
     unit-normalization are one streaming map_batches pass emitting only
     (cluster, id, vec-as-binary) — vectors ride the ONE cell exchange as
     binary blobs (Acero/list caveat, CLAUDE.md). Cells are co-located by
-    ``bucketed_map_groups`` (Python-call count capped at num_buckets, not
-    cell count); pairwise work is O(sum cell_size^2) by construction —
-    the whole point of clustering first — tiled in SEMDEDUP_CHUNK blocks.
+    ``bucketed_map_groups`` (Python-call count capped at the exchange
+    width, not cell count); pairwise work is O(sum cell_size^2) by
+    construction — the whole point of clustering first — tiled in
+    SEMDEDUP_CHUNK blocks.
     Partitioning assumption: one bucket's cells fit a worker heap; size
     k (number of centroids) so cells stay bounded, exactly as the paper
     prescribes (k grows with corpus).
@@ -583,5 +584,4 @@ def semdedup(ds: "ray.data.Dataset", centroids: np.ndarray,
 
     prepped = ds.map_batches(prep, batch_format="pyarrow")
     return bucketed_map_groups(prepped, "cluster", cell_dedup,
-                               num_buckets=num_buckets,
                                batch_format="pyarrow")

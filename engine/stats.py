@@ -85,8 +85,7 @@ def content_length_rollup(extracted: "ray.data.Dataset") -> dict:
 
 def top_k_per_group(ds: "ray.data.Dataset", key_col: str, sort_col: str,
                     k: int, *, descending: bool = True,
-                    tiebreak_col: str | None = None,
-                    num_buckets: int = 32) -> "ray.data.Dataset":
+                    tiebreak_col: str | None = None) -> "ray.data.Dataset":
     """Top-k rows PER KEY (the per-group selection of SURVEY.md §2.7 K1,
     group-wise — e.g. "3 priciest parts per brand"), an operator Ray Data
     has no primitive for.
@@ -94,7 +93,7 @@ def top_k_per_group(ds: "ray.data.Dataset", key_col: str, sort_col: str,
     Plan: ONE hash exchange on a key-hash bucket, then a vectorized pandas
     pass per bucket that ranks EVERY key in the bucket at once (sort +
     groupby(key).cumcount() < k) — the bucket discipline of
-    engine/windows.py: Python-call count is capped at ``num_buckets``, never
+    engine/windows.py: Python-call count is capped at the exchange width, never
     the key cardinality. A local per-batch prune (same rank test per input
     block) runs BEFORE the exchange, so at most k rows per (key, block) —
     not the full table — cross the wire.
@@ -102,8 +101,9 @@ def top_k_per_group(ds: "ray.data.Dataset", key_col: str, sort_col: str,
     Determinism: ties on ``sort_col`` break by ``tiebreak_col`` (default:
     the key column — pass an id column when keys repeat).
     """
-    from engine.joins import _bucket_of_column
+    from engine.joins import _bucket_of_column, _coalesced, exchange_width
 
+    width = exchange_width()
     tb = tiebreak_col or key_col
     by = [key_col, sort_col, tb]
     asc = [True, not descending, True]
@@ -116,16 +116,14 @@ def top_k_per_group(ds: "ray.data.Dataset", key_col: str, sort_col: str,
         df = rank_prune(t.to_pandas())
         out = pa.Table.from_pandas(df, preserve_index=False)
         return out.append_column(
-            "__bucket", _bucket_of_column(out[key_col], num_buckets))
+            "__bucket", _bucket_of_column(out[key_col], width))
 
     pruned = ds.map_batches(local_prune, batch_format="pyarrow")
 
     def per_bucket(g: "pd.DataFrame") -> "pd.DataFrame":
         return rank_prune(g.drop(columns="__bucket"))
 
-    from engine.joins import _coalesced
-
-    return _coalesced(pruned, num_buckets, "auto") \
+    return _coalesced(pruned, width) \
         .groupby("__bucket").map_groups(per_bucket, batch_format="pandas")
 
 
@@ -242,7 +240,7 @@ def group_percentiles(ds: "ray.data.Dataset", key_col: str, col: str,
     from ray.data.aggregate import Sum
     import numpy as np
 
-    from engine.joins import _coalesced
+    from engine.joins import _coalesced, exchange_width
 
     def local_counts(t: pa.Table) -> pa.Table:
         # Acero pre-agg: within-block repeats collapse before the wire
@@ -252,7 +250,7 @@ def group_percentiles(ds: "ray.data.Dataset", key_col: str, col: str,
 
     counts = (
         _coalesced(ds.map_batches(local_counts, batch_format="pyarrow"),
-                   32, "auto")  # shuffle cost scales with input block count
+                   exchange_width())  # shuffle cost scales with block count
         .groupby([key_col, col])
         .aggregate(Sum("n", alias_name="n"))
         .to_pandas()
@@ -358,8 +356,7 @@ def iqr_outliers(ds: "ray.data.Dataset", key_col: str, col: str,
 
 
 def snapshot_diff(ds_a: "ray.data.Dataset", ds_b: "ray.data.Dataset",
-                  key_col: str, value_col: str,
-                  num_buckets: int = 32) -> "ray.data.Dataset":
+                  key_col: str, value_col: str) -> "ray.data.Dataset":
     """Per-key drift between two dataset snapshots — the
     dataset-versioning / CDC-audit primitive: for every key present in
     EITHER snapshot, its row count and integer value sum in each, plus the
@@ -387,8 +384,7 @@ def snapshot_diff(ds_a: "ray.data.Dataset", ds_b: "ray.data.Dataset",
 
     a = agg_side(ds_a, "n_a", "sum_a")
     b = agg_side(ds_b, "n_b", "sum_b")
-    joined = hash_join(a, b, on=key_col, how="outer",
-                       num_buckets=num_buckets)
+    joined = hash_join(a, b, on=key_col, how="outer")
 
     def finish(t: pa.Table) -> pa.Table:
         def fill(name):
@@ -406,8 +402,8 @@ def snapshot_diff(ds_a: "ray.data.Dataset", ds_b: "ray.data.Dataset",
     return joined.map_batches(finish, batch_format="pyarrow")
 
 
-def mode_per_key(ds: "ray.data.Dataset", key_col: str, val_col: str,
-                 num_buckets: int = 32) -> "ray.data.Dataset":
+def mode_per_key(ds: "ray.data.Dataset", key_col: str,
+                 val_col: str) -> "ray.data.Dataset":
     """Per-key modal value — each key's most frequent ``val_col`` (ties →
     the smallest value), the categorical-summary primitive (dominant
     language per domain, top event per user, majority label per cluster).
@@ -418,17 +414,17 @@ def mode_per_key(ds: "ray.data.Dataset", key_col: str, val_col: str,
     table ranks every key in a bucket with ONE vectorized pandas pass.
     Output: (key, value, n).
     """
-    from engine.joins import _coalesced
+    from engine.joins import _coalesced, exchange_width
 
     counts = (
         _coalesced(ds.map_batches(
             lambda t: acero_counts(t, [key_col, val_col]),
-            batch_format="pyarrow"), num_buckets, "auto")
+            batch_format="pyarrow"), exchange_width())
         .groupby([key_col, val_col])
         .aggregate(Sum("n", alias_name="n"))
     )
     return top_k_per_group(counts, key_col, "n", 1, descending=True,
-                           tiebreak_col=val_col, num_buckets=num_buckets)
+                           tiebreak_col=val_col)
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +475,7 @@ def acero_counts(t: pa.Table, key_cols: "list[str]", out_col: str = "n"
 
 
 def profile_columns(ds: "ray.data.Dataset", cols: "list[str]",
-                    num_buckets: int = 16, approx: str = "auto",
+                    approx: str = "auto",
                     distinct_cap: int = 10_000, hll_m: int = 256,
                     hll_method: str = "fast") -> pa.Table:
     """Column profiler (SUMMARIZE): one narrow (column, n, n_null) stats
@@ -512,8 +508,9 @@ def profile_columns(ds: "ray.data.Dataset", cols: "list[str]",
     import pandas as pd
     from ray.data.aggregate import Max
 
-    from engine.joins import _coalesced
+    from engine.joins import _coalesced, exchange_width
 
+    width = exchange_width()
     if approx not in ("auto", "never", "always"):
         raise ValueError(f"unknown approx mode: {approx}")
     if approx == "auto" and distinct_cap < 2.5 * hll_m:
@@ -582,7 +579,7 @@ def profile_columns(ds: "ray.data.Dataset", cols: "list[str]",
 
         merged = (_coalesced(ds.map_batches(hll_probe,
                                             batch_format="pyarrow"),
-                             num_buckets, "auto")
+                             width)
                   .groupby(["col", "register"])
                   .aggregate(Max("rho_max", alias_name="rho_max"))
                   .take_all())                   # <= len(cols)*hll_m rows
@@ -609,7 +606,7 @@ def profile_columns(ds: "ray.data.Dataset", cols: "list[str]",
         # count(DISTINCT x) semantics: nulls excluded
         dom = _coalesced(ds.map_batches(
             lambda t, c=c: acero_counts(t.filter(pc.is_valid(t[c])), [c]),
-            batch_format="pyarrow"), num_buckets, "auto") \
+            batch_format="pyarrow"), width) \
             .groupby(c).aggregate(Count(alias_name="__g"))
         distinct[c] = dom.count()
 
@@ -625,8 +622,7 @@ def profile_columns(ds: "ray.data.Dataset", cols: "list[str]",
 
 
 def hll_registers(ds: "ray.data.Dataset", col: str, m: int = 256,
-                  method: str = "md5", num_buckets: int = 32
-                  ) -> "ray.data.Dataset":
+                  method: str = "md5") -> "ray.data.Dataset":
     """HyperLogLog register table — the approximate-distinct sketch that
     replaces an all-to-all `unique` at 100 TB: the exchange carries at most
     ``m`` integers PER BLOCK no matter how many rows flow in.
@@ -641,7 +637,7 @@ def hll_registers(ds: "ray.data.Dataset", col: str, m: int = 256,
     """
     import numpy as np
 
-    from engine.joins import _coalesced
+    from engine.joins import _coalesced, exchange_width
 
     r_bits = m.bit_length() - 1
     if 1 << r_bits != m:
@@ -675,7 +671,7 @@ def hll_registers(ds: "ray.data.Dataset", col: str, m: int = 256,
 
     return (
         _coalesced(ds.map_batches(partial, batch_format="pyarrow"),
-                   num_buckets, "auto")
+                   exchange_width())
         .groupby("register")
         .aggregate(Max("rho_max", alias_name="rho_max"))
     )
@@ -737,7 +733,7 @@ def hll_estimate_int(registers, m: int = 256) -> int:
 
 
 def global_rank(ds: "ray.data.Dataset", val_col: str,
-                num_buckets: int = 32, rank_col: str = "rnk",
+                rank_col: str = "rnk",
                 lo_hi: "tuple[float, float] | None" = None,
                 dense: bool = False) -> "ray.data.Dataset":
     """Attach ``rank_col`` = SQL rank() OVER (ORDER BY val_col) — or
@@ -750,7 +746,7 @@ def global_rank(ds: "ray.data.Dataset", val_col: str,
     narrow exchange, groupby sum; (2) uniform value-range buckets over
     [min, max] (deterministic — a quantile sketch would replace the uniform
     cut at heavy skew), per-bucket totals exclusive-prefix-summed on the
-    driver (num_buckets scalars); (3) per bucket ONE vectorized pandas pass:
+    driver (one scalar per bucket); (3) per bucket ONE vectorized pandas pass:
     sorted cumulative counts + bucket offset → (value, rank); (4) one
     hash_join re-attaches ranks to the full rows — integer columns join on
     the value itself (bitcast would collide above 2^53), float columns on
@@ -766,8 +762,10 @@ def global_rank(ds: "ray.data.Dataset", val_col: str,
     import numpy as np
     import pandas as pd
 
-    from engine.joins import _coalesced, hash_join
+    from engine.joins import _coalesced, exchange_width, hash_join
     from ray.data.aggregate import Max, Min
+
+    width = exchange_width()
 
     def _key(arr: "np.ndarray") -> "np.ndarray":
         if arr.dtype.kind in "iu":             # exact: no float round-trip
@@ -780,8 +778,8 @@ def global_rank(ds: "ray.data.Dataset", val_col: str,
 
         def add_bucket(t: pa.Table) -> pa.Table:
             v = t[val_col].to_numpy(zero_copy_only=False).astype(np.float64)
-            b = np.clip(((v - lo) / span * num_buckets).astype(np.int64),
-                        0, num_buckets - 1)
+            b = np.clip(((v - lo) / span * width).astype(np.int64),
+                        0, width - 1)
             return t.append_column("__bucket", pa.array(b, type=pa.int32()))
 
         return add_bucket
@@ -791,7 +789,7 @@ def global_rank(ds: "ray.data.Dataset", val_col: str,
         bucketed = (
             _coalesced(ds.map_batches(
                 lambda t: add_bucket(acero_counts(t, [val_col])),
-                batch_format="pyarrow"), num_buckets, "auto")
+                batch_format="pyarrow"), width)
             .groupby([val_col])                # __bucket is val-determined
             .aggregate(Sum("n", alias_name="n"), Max("__bucket",
                                                      alias_name="__bucket"))
@@ -801,7 +799,7 @@ def global_rank(ds: "ray.data.Dataset", val_col: str,
         counts = (
             _coalesced(ds.map_batches(
                 lambda t: acero_counts(t, [val_col]),
-                batch_format="pyarrow"), num_buckets, "auto")
+                batch_format="pyarrow"), width)
             .groupby(val_col)
             .aggregate(Sum("n", alias_name="n"))
             .materialize()                      # used by 2 consumers below
@@ -818,7 +816,7 @@ def global_rank(ds: "ray.data.Dataset", val_col: str,
     totals = {r["__bucket"]: r["__t"] for r in
               bucketed.groupby("__bucket").aggregate(agg).take_all()}
     offsets, acc = {}, 0
-    for b in range(num_buckets):               # exclusive prefix sum
+    for b in range(width):  # exclusive prefix sum
         offsets[b] = acc
         acc += totals.get(b, 0)
 
@@ -844,7 +842,7 @@ def global_rank(ds: "ray.data.Dataset", val_col: str,
         return t.append_column("__rk", pa.array(_key(v), type=pa.int64()))
 
     joined = hash_join(ds.map_batches(add_key, batch_format="pyarrow"),
-                       ranks, on="__rk", num_buckets=num_buckets)
+                       ranks, on="__rk")
     return joined.map_batches(lambda t: t.drop_columns(["__rk"]),
                               batch_format="pyarrow")
 
@@ -898,8 +896,7 @@ def _seeded_probe(value, seed: int, mod: int, method: str) -> int:
 
 
 def cms_counts(ds: "ray.data.Dataset", col: str, d: int = 4, w: int = 1024,
-               method: str = "md5", num_buckets: int = 32
-               ) -> "ray.data.Dataset":
+               method: str = "md5") -> "ray.data.Dataset":
     """Count-min sketch of ``col``'s value frequencies — like
     :func:`hll_registers`, a sketch whose exchange carries at most d×w
     integers per block regardless of row count: the heavy-hitter /
@@ -916,7 +913,7 @@ def cms_counts(ds: "ray.data.Dataset", col: str, d: int = 4, w: int = 1024,
     """
     import numpy as np
 
-    from engine.joins import _coalesced
+    from engine.joins import _coalesced, exchange_width
 
     def partial(t: pa.Table) -> pa.Table:
         arr = np.zeros(d * w, dtype=np.int64)
@@ -930,7 +927,7 @@ def cms_counts(ds: "ray.data.Dataset", col: str, d: int = 4, w: int = 1024,
 
     return (
         _coalesced(ds.map_batches(partial, batch_format="pyarrow"),
-                   num_buckets, "auto")
+                   exchange_width())
         .groupby(["r", "cell"])
         .aggregate(Sum("n", alias_name="n"))
     )
@@ -953,8 +950,7 @@ def cms_query(cms, value, d: int = 4, w: int = 1024,
 
 
 def bloom_bits(ds: "ray.data.Dataset", col: str, m: int = 4096, k: int = 3,
-               method: str = "md5", num_buckets: int = 32
-               ) -> "ray.data.Dataset":
+               method: str = "md5") -> "ray.data.Dataset":
     """Bloom filter of ``col``'s value set as a SET-BIT table — the
     membership sketch completing the trio (:func:`hll_registers`
     cardinality, :func:`cms_counts` frequency): build once over a huge key
@@ -970,7 +966,7 @@ def bloom_bits(ds: "ray.data.Dataset", col: str, m: int = 4096, k: int = 3,
     """
     import numpy as np
 
-    from engine.joins import _coalesced
+    from engine.joins import _coalesced, exchange_width
 
     def partial(t: pa.Table) -> pa.Table:
         hit = np.zeros(m, dtype=bool)
@@ -981,7 +977,7 @@ def bloom_bits(ds: "ray.data.Dataset", col: str, m: int = 4096, k: int = 3,
 
     return (
         _coalesced(ds.map_batches(partial, batch_format="pyarrow"),
-                   num_buckets, "auto")
+                   exchange_width())
         .groupby("bit").aggregate(Count(alias_name="__c"))
         .map_batches(lambda t: t.select(["bit"]), batch_format="pyarrow")
     )
@@ -1002,8 +998,8 @@ def bloom_contains(bits, value, m: int = 4096, k: int = 3,
 
 
 def hll_registers_by_key(ds: "ray.data.Dataset", key_col: str, col: str,
-                         m: int = 256, method: str = "md5",
-                         num_buckets: int = 32) -> "ray.data.Dataset":
+                         m: int = 256,
+                         method: str = "md5") -> "ray.data.Dataset":
     """PER-KEY HyperLogLog registers — approximate count(DISTINCT col)
     GROUP BY key whose exchange is bounded by m integers PER KEY per
     block, regardless of row count: the scale path where
@@ -1019,7 +1015,7 @@ def hll_registers_by_key(ds: "ray.data.Dataset", key_col: str, col: str,
     import numpy as np
     import pandas as pd
 
-    from engine.joins import _coalesced
+    from engine.joins import _coalesced, exchange_width
     from ray.data.aggregate import Max
 
     r_bits = m.bit_length() - 1
@@ -1048,7 +1044,7 @@ def hll_registers_by_key(ds: "ray.data.Dataset", key_col: str, col: str,
 
     return (
         _coalesced(ds.map_batches(partial, batch_format="pyarrow"),
-                   num_buckets, "auto")
+                   exchange_width())
         .groupby([key_col, "register"])
         .aggregate(Max("rho_max", alias_name="rho_max"))
     )
@@ -1076,7 +1072,7 @@ def hll_registers_by_key(ds: "ray.data.Dataset", key_col: str, col: str,
 # weight-preserving, so the Ray plan is the hll_registers shape — per-block
 # partial sketches (<= k*L narrow (level, value) rows per block cross the
 # wire), one bucket-merge round bounds the driver's final merge at
-# num_buckets * k * L rows, never O(rows).
+# width * k * L rows, never O(rows).
 # ---------------------------------------------------------------------------
 
 KLL_DEFAULT_K = 512
@@ -1191,22 +1187,24 @@ def _rows_to_kll(t: pa.Table, k: int) -> "list[np.ndarray]":
     return _kll_compact([va[lv == i] for i in range(depth)], k)
 
 
-def kll_partials(ds: "ray.data.Dataset", col: str, k: int = KLL_DEFAULT_K,
-                 num_buckets: int = 32) -> "ray.data.Dataset":
+def kll_partials(ds: "ray.data.Dataset", col: str,
+                 k: int = KLL_DEFAULT_K) -> "ray.data.Dataset":
     """Distributed sketch build: per-block partial sketches emitted as
     narrow (level, value) rows, one bucket-merge round (deterministic
     content-hash bucket per block) so the downstream consumer sees at most
-    num_buckets * k * log(N/k) rows."""
+    width * k * log(N/k) rows."""
     import zlib
 
     import numpy as np
 
-    from engine.joins import _coalesced
+    from engine.joins import _coalesced, exchange_width
+
+    width = exchange_width()
 
     def partial(t: pa.Table) -> pa.Table:
         v = t[col].to_numpy(zero_copy_only=False).astype(np.float64)
         rows = _kll_rows(kll_build(v, k))
-        b = zlib.crc32(v.tobytes()) % num_buckets  # deterministic spread
+        b = zlib.crc32(v.tobytes()) % width  # deterministic spread
         return rows.append_column(
             "__bucket", pa.array(np.full(rows.num_rows, b, dtype=np.int32)))
 
@@ -1215,19 +1213,18 @@ def kll_partials(ds: "ray.data.Dataset", col: str, k: int = KLL_DEFAULT_K,
 
     return (
         _coalesced(ds.map_batches(partial, batch_format="pyarrow"),
-                   num_buckets, "auto")
+                   width)
         .groupby("__bucket")
         .map_groups(merge_bucket, batch_format="pyarrow")
     )
 
 
 def kll_quantiles(ds: "ray.data.Dataset", col: str, qs: "list[float]",
-                  k: int = KLL_DEFAULT_K, num_buckets: int = 32,
-                  ) -> "list[tuple[float, float]]":
+                  k: int = KLL_DEFAULT_K) -> "list[tuple[float, float]]":
     """(q, value) pairs from the merged corpus sketch. The driver holds
     only the bucket-merged partials (bounded above), never the rows."""
     rows = pa.Table.from_pylist(
-        kll_partials(ds, col, k, num_buckets).take_all(),
+        kll_partials(ds, col, k).take_all(),
         schema=pa.schema([("level", pa.int32()), ("value", pa.float64()),
                           ]))
     levels = _rows_to_kll(rows, k)
@@ -1235,8 +1232,8 @@ def kll_quantiles(ds: "ray.data.Dataset", col: str, qs: "list[float]",
 
 
 def range_partition(ds: "ray.data.Dataset", col: str, num_parts: int,
-                    k: int = KLL_DEFAULT_K, part_col: str = "part",
-                    num_buckets: int = 32) -> "ray.data.Dataset":
+                    k: int = KLL_DEFAULT_K,
+                    part_col: str = "part") -> "ray.data.Dataset":
     """Sketch-driven balanced RANGE partitioner — assign every row the
     range partition it belongs to when cut points are the corpus
     i/num_parts quantiles, WITHOUT the sampling sort Ray's sort runs: one
@@ -1250,8 +1247,7 @@ def range_partition(ds: "ray.data.Dataset", col: str, num_parts: int,
     import numpy as np
 
     qs = [i / num_parts for i in range(1, num_parts)]
-    cuts = np.array([v for _, v in kll_quantiles(ds, col, qs, k=k,
-                                                 num_buckets=num_buckets)],
+    cuts = np.array([v for _, v in kll_quantiles(ds, col, qs, k=k)],
                     dtype=np.float64)
 
     def assign(t: pa.Table) -> pa.Table:
@@ -1264,8 +1260,8 @@ def range_partition(ds: "ray.data.Dataset", col: str, num_parts: int,
 
 
 def filter_by_quantile(ds: "ray.data.Dataset", col: str, q: float,
-                       k: int = KLL_DEFAULT_K, keep: str = "ge",
-                       num_buckets: int = 32) -> "ray.data.Dataset":
+                       k: int = KLL_DEFAULT_K,
+                       keep: str = "ge") -> "ray.data.Dataset":
     """Quantile-threshold filter driven by the KLL sketch — the "keep only
     docs above the p75 quality score" gate of a corpus pipeline, where the
     threshold is a GLOBAL corpus statistic no single worker can see. Two
@@ -1280,7 +1276,7 @@ def filter_by_quantile(ds: "ray.data.Dataset", col: str, q: float,
     """
     if keep not in ("ge", "le"):
         raise ValueError(f"keep must be 'ge' or 'le', got {keep!r}")
-    thr = kll_quantiles(ds, col, [q], k=k, num_buckets=num_buckets)[0][1]
+    thr = kll_quantiles(ds, col, [q], k=k)[0][1]
     op = pc.greater_equal if keep == "ge" else pc.less_equal
 
     def flt(t: pa.Table) -> pa.Table:
@@ -1290,8 +1286,7 @@ def filter_by_quantile(ds: "ray.data.Dataset", col: str, q: float,
 
 
 def kll_partials_by_key(ds: "ray.data.Dataset", key_col: str, col: str,
-                        k: int = KLL_DEFAULT_K, num_buckets: int = 32,
-                        ) -> "ray.data.Dataset":
+                        k: int = KLL_DEFAULT_K) -> "ray.data.Dataset":
     """Per-key quantile sketches — approximate percentile GROUP BY key at a
     bounded exchange (the scale path where group_percentiles' O(distinct)
     per-key counting state breaks): per block one sketch per present key,
@@ -1300,7 +1295,9 @@ def kll_partials_by_key(ds: "ray.data.Dataset", key_col: str, col: str,
     matter its row count."""
     import numpy as np
 
-    from engine.joins import _bucket_of_column, _coalesced
+    from engine.joins import _bucket_of_column, _coalesced, exchange_width
+
+    width = exchange_width()
 
     def partial(t: pa.Table) -> pa.Table:
         keys = t[key_col].to_numpy(zero_copy_only=False)
@@ -1322,7 +1319,7 @@ def kll_partials_by_key(ds: "ray.data.Dataset", key_col: str, col: str,
 
     def add_bucket(t: pa.Table) -> pa.Table:
         return t.append_column(
-            "__bucket", _bucket_of_column(t[key_col], num_buckets))
+            "__bucket", _bucket_of_column(t[key_col], width))
 
     def merge_bucket(g: pa.Table) -> pa.Table:
         keys = g[key_col].to_numpy(zero_copy_only=False)
@@ -1341,21 +1338,20 @@ def kll_partials_by_key(ds: "ray.data.Dataset", key_col: str, col: str,
 
     return (
         _coalesced(ds.map_batches(partial, batch_format="pyarrow")
-                   .map_batches(add_bucket, batch_format="pyarrow"),
-                   num_buckets, "auto")
+                   .map_batches(add_bucket, batch_format="pyarrow"), width)
         .groupby("__bucket")
         .map_groups(merge_bucket, batch_format="pyarrow")
     )
 
 
 def kll_quantiles_by_key(ds: "ray.data.Dataset", key_col: str, col: str,
-                         qs: "list[float]", k: int = KLL_DEFAULT_K,
-                         num_buckets: int = 32) -> pa.Table:
+                         qs: "list[float]",
+                         k: int = KLL_DEFAULT_K) -> pa.Table:
     """(key, q, value) from the per-key merged sketches; the driver holds
     only bucket-merged summaries (≤ keys · k · log(N/k) rows)."""
     import pandas as pd
 
-    rows = kll_partials_by_key(ds, key_col, col, k, num_buckets).to_pandas()
+    rows = kll_partials_by_key(ds, key_col, col, k).to_pandas()
     out_key, out_q, out_v = [], [], []
     for key, g in rows.groupby(key_col, sort=True):
         seg = pa.table({"level": pa.array(g["level"].to_numpy(),
@@ -1476,7 +1472,6 @@ GROUP_STAT_BROADCAST_MAX = 2_000_000  # distinct-key cap for the zero-shuffle pl
 def attach_group_stat(ds: "ray.data.Dataset", key_col: str, value_col: str,
                       sum_name: "str | None" = None,
                       n_name: "str | None" = None,
-                      num_buckets: int = 32,
                       broadcast_max: int = GROUP_STAT_BROADCAST_MAX
                       ) -> "ray.data.Dataset":
     """Attach each row's group SUM and COUNT of ``value_col`` over
@@ -1520,8 +1515,7 @@ def attach_group_stat(ds: "ray.data.Dataset", key_col: str, value_col: str,
     if stats.count() > broadcast_max:
         from engine.joins import hash_join
 
-        return hash_join(ds, stats, on=key_col, how="left",
-                         num_buckets=num_buckets)
+        return hash_join(ds, stats, on=key_col, how="left")
 
     # empty aggregate blocks can carry a divergent schema — drop them and
     # project before concat

@@ -604,7 +604,7 @@ def doc_terms(ds: "ray.data.Dataset", text_col: str = "text",
 
 def tfidf_top_terms(ds: "ray.data.Dataset", n_docs: int,
                     text_col: str = "text", id_col: str = "doc_id",
-                    k: int = 3, num_buckets: int = 32) -> "ray.data.Dataset":
+                    k: int = 3) -> "ray.data.Dataset":
     """Top-k terms per document by an INTEGER tf-idf rank:
     ``score = tf * (bitlen(n_docs) - bitlen(df) + 1)``, ties broken by
     token asc. ``bitlen(x) = floor(log2(x)) + 1`` is computed exactly
@@ -617,7 +617,8 @@ def tfidf_top_terms(ds: "ray.data.Dataset", n_docs: int,
     map-side partial combine; tf⋈df is the distributed
     ``engine.joins.hash_join`` on token (web-scale vocab can exceed any one
     heap — no broadcast); top-k-per-doc is the bucketed rank prune of
-    ``engine.stats.top_k_per_group`` (Python calls capped at num_buckets).
+    ``engine.stats.top_k_per_group`` (Python calls capped at the exchange
+    width).
     ``n_docs`` comes from parquet metadata at the call site — a count()
     here would re-execute the input pipeline.
     """
@@ -628,7 +629,7 @@ def tfidf_top_terms(ds: "ray.data.Dataset", n_docs: int,
 
     tf = doc_terms(ds, text_col=text_col, id_col=id_col).materialize()
     df = tf.groupby("token").aggregate(Count(alias_name="df")).materialize()
-    joined = hash_join(tf, df, on="token", num_buckets=num_buckets)
+    joined = hash_join(tf, df, on="token")
 
     n_bits = int(n_docs).bit_length()
 
@@ -641,12 +642,12 @@ def tfidf_top_terms(ds: "ray.data.Dataset", n_docs: int,
 
     scored = joined.map_batches(score, batch_format="pyarrow")
     return top_k_per_group(scored, id_col, "score", k, descending=True,
-                           tiebreak_col="token", num_buckets=num_buckets)
+                           tiebreak_col="token")
 
 
 def bm25_search(ds: "ray.data.Dataset", terms, n_docs: int, k: int = 10,
-                text_col: str = "text", id_col: str = "doc_id",
-                num_buckets: int = 32) -> "ray.data.Dataset":
+                text_col: str = "text",
+                id_col: str = "doc_id") -> "ray.data.Dataset":
     """Integer-exact BM25 top-k retrieval (Robertson/Sparck-Jones ranking,
     the corpus-inspection / decontamination-query sibling of
     :func:`term_search`'s boolean rank): disjunctive query — any document
@@ -712,7 +713,7 @@ def bm25_search(ds: "ray.data.Dataset", terms, n_docs: int, k: int = 10,
     idf_arr = np.array([idf_by_term.get(x, 0) for x in terms],
                        dtype=np.int64)
 
-    joined = hash_join(qtf, dl_ds, on=id_col, num_buckets=num_buckets)
+    joined = hash_join(qtf, dl_ds, on=id_col)
 
     def contrib(t: pa.Table) -> pa.Table:
         tf = t["tf"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -740,8 +741,8 @@ def bm25_search(ds: "ray.data.Dataset", terms, n_docs: int, k: int = 10,
 
 
 def inverted_index(ds: "ray.data.Dataset", text_col: str = "text",
-                   id_col: str = "doc_id", max_postings: int = 10,
-                   num_buckets: int = 32) -> "ray.data.Dataset":
+                   id_col: str = "doc_id",
+                   max_postings: int = 10) -> "ray.data.Dataset":
     """(token, df, posting) — search-index build: per token, its document
     frequency and the FIRST ``max_postings`` doc ids (ascending) joined
     with ','. The retrieval-side sibling of :func:`doc_frequency` — the
@@ -757,14 +758,9 @@ def inverted_index(ds: "ray.data.Dataset", text_col: str = "text",
     """
     import pandas as pd
 
-    from engine.joins import _bucket_of_column, _coalesced
+    from engine.joins import bucketed_map_groups
 
     pairs = doc_terms(ds, text_col=text_col, id_col=id_col)
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        t = t.select(["token", id_col])
-        return t.append_column("__bucket",
-                               _bucket_of_column(t["token"], num_buckets))
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["token", id_col], kind="mergesort")
@@ -779,16 +775,12 @@ def inverted_index(ds: "ray.data.Dataset", text_col: str = "text",
             "posting": posting.reindex(df_counts.index).to_numpy(),
         })
 
-    return (
-        _coalesced(pairs.map_batches(add_bucket, batch_format="pyarrow"),
-                   num_buckets, "auto")
-        .groupby("__bucket")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return bucketed_map_groups(pairs, "token", per_bucket,
+                               cols=["token", id_col])
 
 
-def build_vocab(ds: "ray.data.Dataset", text_col: str = "text",
-                num_buckets: int = 32) -> "ray.data.Dataset":
+def build_vocab(ds: "ray.data.Dataset",
+                text_col: str = "text") -> "ray.data.Dataset":
     """(token, n, vocab_id) — vocabulary construction: contiguous ids
     1..V ordered by (occurrence count DESC, token ASC), the id-assignment
     step of a tokenizer / embedding-table build.
@@ -881,8 +873,8 @@ def explode_lines(ds: "ray.data.Dataset", text_col: str = "text",
 
 
 def strip_repeated_lines(ds: "ray.data.Dataset", text_col: str = "text",
-                         id_col: str = "doc_id", max_occurrences: int = 2,
-                         num_buckets: int = 32) -> "ray.data.Dataset":
+                         id_col: str = "doc_id",
+                         max_occurrences: int = 2) -> "ray.data.Dataset":
     """Corpus-wide repeated-line removal — the C4/RefinedWeb boilerplate
     pass: drop every line whose EXACT text occurs more than
     ``max_occurrences`` times across the corpus (nav menus, cookie
@@ -899,7 +891,7 @@ def strip_repeated_lines(ds: "ray.data.Dataset", text_col: str = "text",
     """
     from ray.data.aggregate import Sum
 
-    from engine.joins import _bucket_of_column, _coalesced, hash_join
+    from engine.joins import bucketed_map_groups, hash_join
 
     lines = explode_lines(ds, text_col, id_col).materialize()  # 2 consumers
 
@@ -915,24 +907,14 @@ def strip_repeated_lines(ds: "ray.data.Dataset", text_col: str = "text",
             batch_format="pyarrow")
         .materialize()  # hash_join reads schemas up front (CLAUDE.md)
     )
-    kept = hash_join(lines, frequent, on="line", how="anti",
-                     num_buckets=num_buckets)
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        return t.append_column("__bucket",
-                               _bucket_of_column(t[id_col], num_buckets))
+    kept = hash_join(lines, frequent, on="line", how="anti")
 
     def per_bucket(g: "pd.DataFrame") -> "pd.DataFrame":
         g = g.sort_values([id_col, "line_no"], kind="mergesort")
         agg = g.groupby(id_col, sort=False)["line"].agg("\n".join)
         return agg.rename(text_col).reset_index()
 
-    return (
-        _coalesced(kept.map_batches(add_bucket, batch_format="pyarrow"),
-                   num_buckets, "auto")
-        .groupby("__bucket")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return bucketed_map_groups(kept, id_col, per_bucket)
 
 
 MAX_SENT_POS = 1 << 20  # composite (doc, pos) key bound for span dedup
@@ -940,8 +922,8 @@ MAX_SENT_POS = 1 << 20  # composite (doc, pos) key bound for span dedup
 
 def strip_repeated_spans(ds: "ray.data.Dataset", text_col: str = "text",
                          id_col: str = "doc_id", span: int = 3,
-                         sep: str = ". ", max_occurrences: int = 1,
-                         num_buckets: int = 32) -> "ray.data.Dataset":
+                         sep: str = ". ",
+                         max_occurrences: int = 1) -> "ray.data.Dataset":
     """C4's repeated-span removal: drop every sentence that falls inside
     any ``span``-sentence window whose exact text occurs more than
     ``max_occurrences`` times corpus-wide (the three-sentence dedup of
@@ -998,8 +980,7 @@ def strip_repeated_spans(ds: "ray.data.Dataset", text_col: str = "text",
             .select(["span"]), batch_format="pyarrow")
         .materialize()
     )
-    occurrences = hash_join(spans_only, hot, on="span", how="semi",
-                            num_buckets=num_buckets)
+    occurrences = hash_join(spans_only, hot, on="span", how="semi")
 
     def _ckey(ids: "np.ndarray", pos: "np.ndarray") -> "np.ndarray":
         # composite int64 key: int64 math FIRST (an int32 id column would
@@ -1031,20 +1012,20 @@ def strip_repeated_spans(ds: "ray.data.Dataset", text_col: str = "text",
                          "__dk": _ckey(ids, pos)})
 
     kept = hash_join(sents.map_batches(add_key, batch_format="pyarrow"),
-                     drops, on="__dk", how="anti", num_buckets=num_buckets)
+                     drops, on="__dk", how="anti")
 
     def per_bucket(g: "pd.DataFrame") -> "pd.DataFrame":
         g = g.sort_values([id_col, "pos"], kind="mergesort")
         agg = g.groupby(id_col, sort=False)["sent"].agg(sep.join)
         return agg.rename(text_col).reset_index()
 
-    return bucketed_map_groups(kept, id_col, per_bucket, num_buckets,
+    return bucketed_map_groups(kept, id_col, per_bucket,
                                cols=[id_col, "pos", "sent"])
 
 
 def dedup_paragraphs(ds: "ray.data.Dataset", text_col: str = "text",
-                     id_col: str = "doc_id", sep: str = "\n",
-                     num_buckets: int = 32) -> "ray.data.Dataset":
+                     id_col: str = "doc_id",
+                     sep: str = "\n") -> "ray.data.Dataset":
     """RefinedWeb-style exact paragraph dedup with KEEP-FIRST semantics
     (Penedo et al. 2023 §4.2, "exact substring/paragraph deduplication"):
     every distinct paragraph survives only at its globally FIRST
@@ -1100,12 +1081,11 @@ def dedup_paragraphs(ds: "ray.data.Dataset", text_col: str = "text",
         agg = g.groupby(id_col, sort=False)["para"].agg(sep.join)
         return agg.rename(text_col).reset_index()
 
-    return bucketed_map_groups(kept, id_col, per_bucket, num_buckets)
+    return bucketed_map_groups(kept, id_col, per_bucket)
 
 
 def _dup_window_occ(ds: "ray.data.Dataset", k: int, text_col: str,
-                    id_col: str, min_count: int,
-                    num_buckets: int) -> "ray.data.Dataset":
+                    id_col: str, min_count: int) -> "ray.data.Dataset":
     """Shared corpus pass behind ``window_dup_stats`` / ``cut_dup_windows``:
     (id_col, pos:int64 1-based) rows for every k-token window whose hash
     occurs >= min_count times anywhere in the corpus. Window build is one
@@ -1160,14 +1140,12 @@ def _dup_window_occ(ds: "ray.data.Dataset", k: int, text_col: str,
             batch_format="pyarrow")
         .materialize()  # hash_join reads schemas up front (CLAUDE.md)
     )
-    return hash_join(triples, frequent, on="wh", how="semi",
-                     num_buckets=num_buckets)
+    return hash_join(triples, frequent, on="wh", how="semi")
 
 
 def window_dup_stats(ds: "ray.data.Dataset", k: int = 5,
                      text_col: str = "text", id_col: str = "doc_id",
-                     min_count: int = 2,
-                     num_buckets: int = 32) -> "ray.data.Dataset":
+                     min_count: int = 2) -> "ray.data.Dataset":
     """Exact k-token-window duplicate statistics — the window-hash form of
     Lee et al. 2022 exact-substring dedup ("Deduplicating Training Data
     Makes Language Models Better"): a k-token window occurring >=
@@ -1191,7 +1169,7 @@ def window_dup_stats(ds: "ray.data.Dataset", k: int = 5,
       (distributed — no broadcast-size assumption on the hot-window set).
     - per-doc interval union: sorted-positions overlap trick
       (sum(min(next_pos - pos, k)) + k per run) vectorized inside
-      ~num_buckets pandas buckets via bucketed_map_groups.
+      one pandas call per bucket via bucketed_map_groups.
 
     Output: one row per input doc —
     (doc_id, n_windows, n_dup_windows, n_covered_tokens), int64, zeros for
@@ -1199,8 +1177,7 @@ def window_dup_stats(ds: "ray.data.Dataset", k: int = 5,
     """
     from engine.joins import bucketed_map_groups, hash_join
 
-    dup_occ = _dup_window_occ(ds, k, text_col, id_col, min_count,
-                              num_buckets)
+    dup_occ = _dup_window_occ(ds, k, text_col, id_col, min_count)
 
     def per_bucket(g: "pd.DataFrame") -> "pd.DataFrame":
         import pandas as pd
@@ -1223,7 +1200,7 @@ def window_dup_stats(ds: "ray.data.Dataset", k: int = 5,
             .reset_index()
         return out
 
-    cov = bucketed_map_groups(dup_occ, id_col, per_bucket, num_buckets,
+    cov = bucketed_map_groups(dup_occ, id_col, per_bucket,
                               cols=[id_col, "pos"]).materialize()
 
     def base(t: pa.Table) -> pa.Table:
@@ -1235,7 +1212,7 @@ def window_dup_stats(ds: "ray.data.Dataset", k: int = 5,
         })
 
     joined = hash_join(ds.map_batches(base, batch_format="pyarrow"), cov,
-                       on=id_col, how="left", num_buckets=num_buckets)
+                       on=id_col, how="left")
 
     def finish(t: pa.Table) -> pa.Table:
         return pa.table({
@@ -1252,8 +1229,7 @@ def window_dup_stats(ds: "ray.data.Dataset", k: int = 5,
 
 def cut_dup_windows(ds: "ray.data.Dataset", k: int = 5,
                     text_col: str = "text", id_col: str = "doc_id",
-                    min_count: int = 2,
-                    num_buckets: int = 32) -> "ray.data.Dataset":
+                    min_count: int = 2) -> "ray.data.Dataset":
     """The Lee et al. 2022 REMOVAL policy over ``window_dup_stats``'s
     corpus pass: rewrite each document with every token position covered
     by a duplicated k-window (interval union of the [pos, pos+k) spans)
@@ -1275,8 +1251,7 @@ def cut_dup_windows(ds: "ray.data.Dataset", k: int = 5,
     """
     from engine.joins import bucketed_map_groups, hash_join
 
-    dup_occ = _dup_window_occ(ds, k, text_col, id_col, min_count,
-                              num_buckets)
+    dup_occ = _dup_window_occ(ds, k, text_col, id_col, min_count)
 
     def spans_blob(t: pa.Table) -> pa.Table:
         ids = t[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -1297,7 +1272,7 @@ def cut_dup_windows(ds: "ray.data.Dataset", k: int = 5,
              pa.py_buffer(pos.tobytes())])
         return pa.table({id_col: pa.array(ids[starts]), "spans": spans})
 
-    spans = bucketed_map_groups(dup_occ, id_col, spans_blob, num_buckets,
+    spans = bucketed_map_groups(dup_occ, id_col, spans_blob,
                                 cols=[id_col, "pos"],
                                 batch_format="pyarrow").materialize()
 
@@ -1308,7 +1283,7 @@ def cut_dup_windows(ds: "ray.data.Dataset", k: int = 5,
         })
 
     joined = hash_join(ds.map_batches(docs, batch_format="pyarrow"), spans,
-                       on=id_col, how="left", num_buckets=num_buckets)
+                       on=id_col, how="left")
 
     def cut(t: pa.Table) -> pa.Table:
         toks, lens = _flat_tokens(_text_column(t, text_col), r"\s+")
@@ -1356,8 +1331,7 @@ def cut_dup_windows(ds: "ray.data.Dataset", k: int = 5,
 
 
 def bigram_lm_score(ds: "ray.data.Dataset", text_col: str = "text",
-                    id_col: str = "doc_id",
-                    num_buckets: int = 32) -> "ray.data.Dataset":
+                    id_col: str = "doc_id") -> "ray.data.Dataset":
     """Corpus-trained bigram-LM surprisal — the CCNet/KenLM-family
     "perplexity filter" signal with an ENGINE-EXACT integer convention:
     per bigram occurrence (w1, w2) the contribution is
@@ -1377,22 +1351,24 @@ def bigram_lm_score(ds: "ray.data.Dataset", text_col: str = "text",
     occurrence of its left context — so n2(bigram), n1(w1), the per-row
     contribution, and a per-doc partial sum all happen in a single
     vectorized per-bucket pass (dictionary-encode + weighted bincount;
-    num_buckets Python calls total, not per-group). The pair stream
+    one Python call per bucket, not per group). The pair stream
     crosses the wire ONCE; only O(docs-per-bucket) partials follow (one
     narrow per-doc Sum — a doc's w1s span buckets). NO broadcast — the
     bigram vocabulary at web scale outgrows any worker heap. Skew note: a
     stopword w1 lands its whole context family in one bucket; buckets
     hold many w1s and the pass is O(bucket) vectorized, so imbalance
-    costs wall-time, not correctness — raise num_buckets for very hot
-    vocabularies. Docs with < 2 tokens score (0, 0).
+    costs wall-time, not correctness. Docs with < 2 tokens score (0, 0).
 
     Output: (doc_id, lm_bits:int64, n_pairs:int64).
     """
     import pandas as pd
     from ray.data.aggregate import Sum
 
-    from engine.joins import _bucket_of_column, _coalesced, hash_join
+    from engine.joins import (_bucket_of_column, _coalesced, exchange_width,
+                              hash_join)
     from engine.stats import acero_counts
+
+    width = exchange_width()
 
     def pairs(t: pa.Table) -> pa.Table:
         toks, lens = _flat_tokens(_text_column(t, text_col), r"\s+")
@@ -1425,14 +1401,14 @@ def bigram_lm_score(ds: "ray.data.Dataset", text_col: str = "text",
         out = acero_counts(raw, [id_col, "bigram"], out_col="k")
         w1 = pc.replace_substring_regex(out["bigram"], r"\s.*$", "")
         return out.append_column(
-            "__bucket", _bucket_of_column(w1, num_buckets))
+            "__bucket", _bucket_of_column(w1, width))
 
     dp = ds.map_batches(pairs, batch_format="pyarrow")
 
     def bucket_pass(t: pa.Table) -> pa.Table:
         # one vectorized pass over a whole w1-hash bucket: model counts,
         # contributions, and per-doc partials — no per-group Python beyond
-        # this call (num_buckets total)
+        # this call (one per bucket)
         if t.num_rows == 0:
             return pa.table({id_col: pa.array([], type=pa.int64()),
                              "v": pa.array([], type=pa.int64()),
@@ -1464,7 +1440,7 @@ def bigram_lm_score(ds: "ray.data.Dataset", text_col: str = "text",
                             .astype(np.int64)),
         })
 
-    contrib = (_coalesced(dp, num_buckets, "auto")
+    contrib = (_coalesced(dp, width)
                .groupby("__bucket")
                .map_groups(bucket_pass, batch_format="pyarrow")
                .groupby(id_col)
@@ -1476,8 +1452,7 @@ def bigram_lm_score(ds: "ray.data.Dataset", text_col: str = "text",
         return pa.table({id_col: pc.cast(t[id_col], pa.int64())})
 
     joined = hash_join(ds.map_batches(base, batch_format="pyarrow"),
-                       contrib, on=id_col, how="left",
-                       num_buckets=num_buckets)
+                       contrib, on=id_col, how="left")
 
     def finish(t: pa.Table) -> pa.Table:
         return pa.table({

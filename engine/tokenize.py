@@ -19,7 +19,7 @@ Scale shape of pack_sequences (the 100 TB audit):
   Arrow regex scan over the raw text, no vocab lookup; per-doc global
   offsets use the global_rank discipline (engine/stats.py): doc_id-range
   buckets, per-bucket totals exclusive-prefix-summed on the driver
-  (num_buckets scalars), one vectorized cumsum per bucket.
+  (one scalar per bucket), one vectorized cumsum per bucket.
 - pass 2 ships each token id exactly ONCE as 4 bytes: encoded docs carry
   their ids as a packed int32 BINARY blob (Acero joins reject list columns —
   the dedup._list_u64_to_binary discipline), the offset join is the
@@ -129,17 +129,18 @@ def encode_tokens(ds: "ray.data.Dataset", vocab, text_col: str = "text",
 
 
 def _doc_token_offsets(ds: "ray.data.Dataset", text_col: str, id_col: str,
-                       num_buckets: int,
                        lo_hi: "tuple[int, int] | None" = None,
                        ) -> tuple["ray.data.Dataset", int]:
     """(doc_id, tok_off) — exclusive prefix sum of per-doc token counts in
     doc_id order, plus the global total. The global_rank discipline: doc_id
     RANGE buckets → per-bucket token totals prefix-summed on the driver
-    (num_buckets scalars) → one vectorized cumsum per bucket. The exchange
+    (one scalar per bucket) → one vectorized cumsum per bucket. The exchange
     carries 2 ints per document."""
     from ray.data.aggregate import Max, Min, Sum
 
-    from engine.joins import _coalesced
+    from engine.joins import _coalesced, exchange_width
+
+    width = exchange_width()
 
     def counts(t: pa.Table) -> pa.Table:
         col = pc.fill_null(t[text_col], "")
@@ -157,17 +158,17 @@ def _doc_token_offsets(ds: "ray.data.Dataset", text_col: str, id_col: str,
 
     def add_bucket(t: pa.Table) -> pa.Table:
         d = t[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        b = np.clip((d - lo) * num_buckets // span, 0, num_buckets - 1)
+        b = np.clip((d - lo) * width // span, 0, width - 1)
         return t.append_column("__bucket", pa.array(b.astype(np.int32)))
 
     bucketed = _coalesced(
         narrow.map_batches(add_bucket, batch_format="pyarrow"),
-        num_buckets, "auto").materialize()  # feeds totals AND the cumsum pass
+        width).materialize()  # feeds totals AND the cumsum pass
     totals = {r["__bucket"]: r["t"] for r in
               bucketed.groupby("__bucket")
               .aggregate(Sum("n_tokens", alias_name="t")).take_all()}
     bases, acc = {}, 0
-    for b in range(num_buckets):
+    for b in range(width):
         bases[b] = acc
         acc += totals.get(b, 0)
 
@@ -186,7 +187,6 @@ def _doc_token_offsets(ds: "ray.data.Dataset", text_col: str, id_col: str,
 
 def pack_sequences(ds: "ray.data.Dataset", vocab, seq_len: int,
                    text_col: str = "text", id_col: str = "doc_id",
-                   num_buckets: int = 32,
                    lo_hi: "tuple[int, int] | None" = None,
                    ) -> "ray.data.Dataset":
     """(seq_id, token_ids) — pack the encoded corpus, in doc_id order, into
@@ -199,10 +199,9 @@ def pack_sequences(ds: "ray.data.Dataset", vocab, seq_len: int,
     statistics make this free at the call site and remove one narrow
     aggregate pass.
     """
-    from engine.joins import _bucket_of_column, _coalesced, hash_join
+    from engine.joins import bucketed_map_groups, hash_join
 
-    offsets, total = _doc_token_offsets(ds, text_col, id_col,
-                                        num_buckets, lo_hi)
+    offsets, total = _doc_token_offsets(ds, text_col, id_col, lo_hi)
     cut = (total // seq_len) * seq_len  # first token index NOT packed
 
     encoded = encode_tokens(ds, vocab, text_col, id_col).map_batches(
@@ -213,7 +212,7 @@ def pack_sequences(ds: "ray.data.Dataset", vocab, seq_len: int,
                                 if isinstance(t["ids"], pa.ChunkedArray)
                                 else t["ids"])}),
         batch_format="pyarrow")
-    joined = hash_join(encoded, offsets, on=id_col, num_buckets=num_buckets)
+    joined = hash_join(encoded, offsets, on=id_col)
 
     def segments(t: pa.Table) -> pa.Table:
         empty = pa.table({
@@ -258,10 +257,6 @@ def pack_sequences(ds: "ray.data.Dataset", vocab, seq_len: int,
 
     segs = joined.map_batches(segments, batch_format="pyarrow")
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "__bucket", _bucket_of_column(t["seq_id"], num_buckets))
-
     def assemble(g: pa.Table) -> pa.Table:
         order = pc.sort_indices(g, sort_keys=[("seq_id", "ascending"),
                                               ("start", "ascending")])
@@ -280,9 +275,8 @@ def pack_sequences(ds: "ray.data.Dataset", vocab, seq_len: int,
         return pa.table({"seq_id": pa.array(uniq, type=pa.int64()),
                          "token_ids": token_ids})
 
-    return (_coalesced(segs.map_batches(add_bucket, batch_format="pyarrow"),
-                       num_buckets, "auto")
-            .groupby("__bucket").map_groups(assemble, batch_format="pyarrow"))
+    return bucketed_map_groups(segs, "seq_id", assemble,
+                               batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------------------

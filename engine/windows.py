@@ -11,13 +11,12 @@ fully vectorized pandas pass per bucket that handles every key in the bucket
 at once (sort → key-change/gap mask → cumsum → groupby agg). Grouping by
 bucket instead of key matters at scale: ``groupby(key).map_groups`` pays one
 Python call per key (~0.5 ms each — millions of users would serialize into
-minutes), while buckets cap the Python-call count at ``num_buckets``
-regardless of key cardinality.
+minutes), while buckets cap the Python-call count at the exchange width
+(``engine.joins.exchange_width``) regardless of key cardinality.
 
 Partitioning assumption (custom-operator rule): one BUCKET's rows fit in a
-worker's heap — size ``num_buckets`` to the corpus like any shuffle; keys
-hash uniformly (same md5-free integer/fixed-key discipline as
-engine/joins.py).
+worker's heap; keys hash uniformly (same md5-free integer/fixed-key
+discipline as engine/joins.py).
 
 Determinism: events are ordered by (key, ts, id), and a session break
 requires STRICTLY more than ``gap`` between consecutive events — both
@@ -32,22 +31,14 @@ import pyarrow.compute as pc
 
 import ray.data
 
-from engine.joins import _bucket_of_column
-
 
 def sessionize(ds: "ray.data.Dataset", key_col: str = "user_id",
                ts_col: str = "ts", id_col: str = "event_id",
                value_col: str | None = "value",
-               gap_s: float = 3600.0,
-               num_buckets: int = 32) -> "ray.data.Dataset":
+               gap_s: float = 3600.0) -> "ray.data.Dataset":
     """(key, ts, id[, value]) rows → one row per session:
     (key, session_start, session_end, n_events[, sum_value])."""
     cols = [key_col, ts_col, id_col] + ([value_col] if value_col else [])
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        t = t.select(cols)
-        return t.append_column("__bucket",
-                               _bucket_of_column(t[key_col], num_buckets))
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         # vectorized across every key in the bucket: a session starts at a
@@ -72,21 +63,15 @@ def sessionize(ds: "ray.data.Dataset", key_col: str = "user_id",
             out["sum_value"] = grouped[value_col].sum()
         return out.reset_index(drop=True)
 
-    from engine.joins import _coalesced
+    from engine.joins import bucketed_map_groups
 
-    return (
-        _coalesced(ds.map_batches(add_bucket, batch_format="pyarrow"),
-                   num_buckets, "auto")
-        .groupby("__bucket")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return bucketed_map_groups(ds, key_col, per_bucket, cols=cols)
 
 
 def rolling_agg(ds: "ray.data.Dataset", key_col: str = "user_id",
                 ts_col: str = "ts", id_col: str = "event_id",
                 value_col: str = "value", window: int = 3,
-                agg: str = "mean",
-                num_buckets: int = 32) -> "ray.data.Dataset":
+                agg: str = "mean") -> "ray.data.Dataset":
     """Per-key rolling-window aggregate over an ordered event stream — the
     "windowed aggregate" custom operator: for every event, ``agg`` of the
     last ``window`` rows (including itself) of the SAME key, ordered by
@@ -96,7 +81,7 @@ def rolling_agg(ds: "ray.data.Dataset", key_col: str = "user_id",
     Plan: the same ONE key-hash-bucket exchange as :func:`sessionize`; each
     bucket sorts once and runs pandas' C-implemented
     ``groupby(key).rolling(window)`` across EVERY key in the bucket — the
-    Python-call count is ``num_buckets``, never the key cardinality.
+    Python-call count is the exchange width, never the key cardinality.
 
     Output: (key, id, ts, value, roll) — ``roll`` named by the aggregate.
     Determinism: total order (key, ts, id); row-count frames (not time
@@ -118,14 +103,12 @@ def rolling_agg(ds: "ray.data.Dataset", key_col: str = "user_id",
 
     from engine.joins import bucketed_map_groups
 
-    return bucketed_map_groups(ds, key_col, per_bucket, num_buckets,
-                               cols=cols)
+    return bucketed_map_groups(ds, key_col, per_bucket, cols=cols)
 
 
 def lag_delta(ds: "ray.data.Dataset", key_col: str = "user_id",
               ts_col: str = "ts", id_col: str = "event_id",
-              missing: int = -1,
-              num_buckets: int = 32) -> "ray.data.Dataset":
+              missing: int = -1) -> "ray.data.Dataset":
     """Per-key inter-event gap — for every event, microseconds since the
     SAME key's previous event in (ts, id) order (``missing`` for the key's
     first event). The lag/lead window primitive of a training-data pipeline
@@ -140,14 +123,8 @@ def lag_delta(ds: "ray.data.Dataset", key_col: str = "user_id",
     """
     cols = [key_col, ts_col, id_col]
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        t = t.select(cols)
-        return t.append_column("__bucket",
-                               _bucket_of_column(t[key_col], num_buckets))
-
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns="__bucket").sort_values(
-            [key_col, ts_col, id_col], kind="mergesort")
+        g = g.sort_values([key_col, ts_col, id_col], kind="mergesort")
         ts = g[ts_col]
         if pd.api.types.is_datetime64_any_dtype(ts):
             delta = ts.diff().dt.total_seconds() * 1_000_000
@@ -157,14 +134,9 @@ def lag_delta(ds: "ray.data.Dataset", key_col: str = "user_id",
         g["gap_us"] = delta.round().where(~first, missing).astype("int64")
         return g
 
-    from engine.joins import _coalesced
+    from engine.joins import bucketed_map_groups
 
-    return (
-        _coalesced(ds.map_batches(add_bucket, batch_format="pyarrow"),
-                   num_buckets, "auto")
-        .groupby("__bucket")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return bucketed_map_groups(ds, key_col, per_bucket, cols=cols)
 
 
 def hopping_window(ds: "ray.data.Dataset", key_col: str = "event_type",
@@ -195,7 +167,7 @@ def hopping_window(ds: "ray.data.Dataset", key_col: str = "event_type",
     import numpy as np
     from ray.data.aggregate import Sum
 
-    from engine.joins import _coalesced
+    from engine.joins import _coalesced, exchange_width
 
     def expand(t: pa.Table) -> pa.Table:
         n = len(t)
@@ -221,7 +193,7 @@ def hopping_window(ds: "ray.data.Dataset", key_col: str = "event_type",
 
     return (
         _coalesced(ds.map_batches(expand, batch_format="pyarrow"),
-                   32, "auto")
+                   exchange_width())
         .groupby([key_col, "window_start_s"])
         .aggregate(Sum("n", alias_name="n"),
                    Sum("sum_value", alias_name="sum_value"))
@@ -230,8 +202,8 @@ def hopping_window(ds: "ray.data.Dataset", key_col: str = "event_type",
 
 def collect_per_key(ds: "ray.data.Dataset", key_col: str = "user_id",
                     order_cols: tuple = ("ts", "event_id"),
-                    value_col: str = "event_id", sep: str = ",",
-                    num_buckets: int = 32) -> "ray.data.Dataset":
+                    value_col: str = "event_id",
+                    sep: str = ",") -> "ray.data.Dataset":
     """Ordered per-key sequence assembly — the conversation/episode-assembly
     primitive of a training-data pipeline: one row per key with its values
     concatenated in (order_cols) order.
@@ -247,14 +219,9 @@ def collect_per_key(ds: "ray.data.Dataset", key_col: str = "user_id",
     O(buckets), kept because join-per-group has no vectorized form; each
     call is ~µs and the exchange (the scale limit) is still one.
     """
-    from engine.joins import _coalesced
+    from engine.joins import bucketed_map_groups
 
     cols = list(dict.fromkeys([key_col, *order_cols, value_col]))
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        t = t.select(cols)
-        return t.append_column("__bucket",
-                               _bucket_of_column(t[key_col], num_buckets))
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key_col, *order_cols], kind="mergesort")
@@ -265,17 +232,12 @@ def collect_per_key(ds: "ray.data.Dataset", key_col: str = "user_id",
         out.insert(1, "n_events", grouped.size().to_numpy())
         return out
 
-    return (
-        _coalesced(ds.map_batches(add_bucket, batch_format="pyarrow"),
-                   num_buckets, "auto")
-        .groupby("__bucket")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return bucketed_map_groups(ds, key_col, per_bucket, cols=cols)
 
 
 def ntile_per_key(ds: "ray.data.Dataset", key_col: str = "user_id",
-                  order_cols: tuple = ("ts", "event_id"), k: int = 4,
-                  num_buckets: int = 32) -> "ray.data.Dataset":
+                  order_cols: tuple = ("ts", "event_id"),
+                  k: int = 4) -> "ray.data.Dataset":
     """Per-key NTILE(k) — each key's rows, ordered by ``order_cols``, split
     into k near-equal rank buckets (SQL-standard semantics: with n = rows
     and r = n % k, the FIRST r buckets get one extra row). The
@@ -287,24 +249,18 @@ def ntile_per_key(ds: "ray.data.Dataset", key_col: str = "user_id",
     Plan: the one key-hash-bucket exchange of :func:`sessionize`; per
     bucket one sort + vectorized rank arithmetic across EVERY key at once
     (groupby sizes via transform, cumcount ranks, closed-form bucket
-    index) — Python calls capped at ``num_buckets``.
+    index) — Python calls capped at the exchange width.
 
     Output: input columns + ``ntile`` (int64, 1-based).
     """
     import numpy as np
 
-    from engine.joins import _bucket_of_column, _coalesced
+    from engine.joins import bucketed_map_groups
 
     cols = list(dict.fromkeys([key_col, *order_cols]))
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        t = t.select(cols)
-        return t.append_column("__bucket",
-                               _bucket_of_column(t[key_col], num_buckets))
-
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns="__bucket").sort_values(
-            [key_col, *order_cols], kind="mergesort")
+        g = g.sort_values([key_col, *order_cols], kind="mergesort")
         n = g.groupby(key_col, sort=False)[key_col].transform("size") \
             .to_numpy(np.int64)
         r0 = g.groupby(key_col, sort=False).cumcount().to_numpy(np.int64)
@@ -315,18 +271,13 @@ def ntile_per_key(ds: "ray.data.Dataset", key_col: str = "user_id",
                               r + (r0 - thr) // q_safe) + 1
         return g
 
-    return (
-        _coalesced(ds.map_batches(add_bucket, batch_format="pyarrow"),
-                   num_buckets, "auto")
-        .groupby("__bucket")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return bucketed_map_groups(ds, key_col, per_bucket, cols=cols)
 
 
 def funnel(ds: "ray.data.Dataset", key_col: str = "user_id",
            ts_col: str = "ts", type_col: str = "event_type",
            steps: tuple = ("view", "click", "purchase"),
-           num_buckets: int = 32) -> "ray.data.Dataset":
+           ) -> "ray.data.Dataset":
     """Ordered funnel completion — per key, the earliest chain
     t_1 ≤ t_2 ≤ … through ``steps``: t_1 is the key's first step-1 event,
     t_i the first step-i event AT OR AFTER t_{i-1} (a step missing →
@@ -338,7 +289,7 @@ def funnel(ds: "ray.data.Dataset", key_col: str = "user_id",
     for EVERY key at once — len(steps) vectorized passes (filter to the
     step's rows, attach the key's previous-step time via a C-level map,
     drop too-early rows, groupby min). Python-call count is
-    num_buckets × len(steps), never the key cardinality.
+    exchange width × len(steps), never the key cardinality.
 
     Output: (key, t_<step> per step, n_steps) — n_steps = completed
     prefix length; every key in the input appears exactly once.
@@ -364,14 +315,13 @@ def funnel(ds: "ray.data.Dataset", key_col: str = "user_id",
 
     from engine.joins import bucketed_map_groups
 
-    return bucketed_map_groups(ds, key_col, per_bucket, num_buckets,
-                               cols=cols)
+    return bucketed_map_groups(ds, key_col, per_bucket, cols=cols)
 
 
 def transition_counts(ds: "ray.data.Dataset", key_col: str = "user_id",
                       val_col: str = "event_type",
                       order_cols: tuple = ("ts", "event_id"),
-                      num_buckets: int = 32) -> "ray.data.Dataset":
+                      ) -> "ray.data.Dataset":
     """Per-key transition (Markov bigram) counts — (prev, curr, n) over each
     key's event sequence ordered by ``order_cols``: the sequence-model /
     next-event-prediction primitive (state-transition matrices, curriculum
@@ -396,7 +346,6 @@ def transition_counts(ds: "ray.data.Dataset", key_col: str = "user_id",
     from engine.joins import bucketed_map_groups
     from ray.data.aggregate import Sum
 
-    partials = bucketed_map_groups(ds, key_col, per_bucket, num_buckets,
-                                   cols=cols)
+    partials = bucketed_map_groups(ds, key_col, per_bucket, cols=cols)
     return partials.groupby(["prev", "curr"]) \
         .aggregate(Sum("n", alias_name="n"))

@@ -23,7 +23,7 @@ def test_inner_join(sides):
     from engine.joins import hash_join
 
     left, right = sides
-    out = hash_join(left, right, on="k", num_buckets=4).to_pandas()
+    out = hash_join(left, right, on="k").to_pandas()
     got = sorted(map(tuple, out[["k", "lv", "rv"]].values.tolist()))
     assert got == [(2, "b", 20), (2, "b2", 20), (3, "c", 30), (3, "c", 31)]
     assert out["k"].dtype == "int64"  # int dtype survives the bucket merge
@@ -33,7 +33,7 @@ def test_outer_join(sides):
     from engine.joins import hash_join
 
     left, right = sides
-    out = hash_join(left, right, on="k", num_buckets=4, how="outer").to_pandas()
+    out = hash_join(left, right, on="k", how="outer").to_pandas()
     assert len(out) == 7  # 4 matches + k=1,4 left-only + k=5 right-only
     assert set(out["k"]) == {1, 2, 3, 4, 5}
 
@@ -49,12 +49,15 @@ def test_string_keys(ray_session):
     assert out[["s"]].values.tolist() == [["y"]]
 
 
-def test_bucket_count_invariance(sides):
+def test_bucket_count_invariance(sides, monkeypatch):
+    import engine.joins
     from engine.joins import hash_join
 
     left, right = sides
-    a = hash_join(left, right, on="k", num_buckets=2).to_pandas()
-    b = hash_join(left, right, on="k", num_buckets=16).to_pandas()
+    monkeypatch.setattr(engine.joins, "exchange_width", lambda: 2)
+    a = hash_join(left, right, on="k").to_pandas()
+    monkeypatch.setattr(engine.joins, "exchange_width", lambda: 16)
+    b = hash_join(left, right, on="k").to_pandas()
     key = lambda df: sorted(map(tuple, df[["k", "lv", "rv"]].values.tolist()))
     assert key(a) == key(b)
 
@@ -113,15 +116,17 @@ def test_asof_join_semantics(ray_session):
     }
 
 
-def test_asof_join_right_only_bucket_schema(ray_session):
+def test_asof_join_right_only_bucket_schema(ray_session, monkeypatch):
     """A bucket whose rows ALL come from the right side must emit the full
     output schema (typed, zero rows), so a pyarrow consumer indexing a right
     column never KeyErrors on a left-only-schema block."""
     import pandas as pd
     import ray.data as rd
 
+    import engine.joins
     from engine.joins import asof_join
 
+    monkeypatch.setattr(engine.joins, "exchange_width", lambda: 8)
     # many distinct right-only keys → some bucket is right-only w.h.p.
     left = rd.from_arrow(pa.table({"k": [1], "t": [10], "lid": [1]}))
     right = rd.from_arrow(pa.table({
@@ -129,8 +134,7 @@ def test_asof_join_right_only_bucket_schema(ray_session):
         "rt": [5] + [1] * 40,
         "rv": [7] + list(range(40)),
     }))
-    out_ds = asof_join(left, right, by="k", on="t", right_on="rt",
-                       num_buckets=8)
+    out_ds = asof_join(left, right, by="k", on="t", right_on="rt")
 
     def touch_right_col(t: pa.Table) -> pa.Table:
         # raises KeyError on any block lacking the right columns
@@ -195,8 +199,8 @@ def test_semi_anti_join(sides):
     from engine.joins import hash_join
 
     left, right = sides
-    semi = hash_join(left, right, on="k", how="semi", num_buckets=4).to_pandas()
-    anti = hash_join(left, right, on="k", how="anti", num_buckets=4).to_pandas()
+    semi = hash_join(left, right, on="k", how="semi").to_pandas()
+    anti = hash_join(left, right, on="k", how="anti").to_pandas()
     # left columns only, each left row at most once (dup right keys collapse)
     assert list(semi.columns) == ["k", "lv"]
     assert sorted(semi["lv"]) == ["b", "b2", "c"]
@@ -413,14 +417,16 @@ def test_new_operators_match_pandas_reference_randomized(ray_session):
         assert seq.sort_index().tolist() == ref_seq.sort_index().tolist()
 
 
-def test_salted_join_equivalence_all_hows(ray_session):
+def test_salted_join_equivalence_all_hows(ray_session, monkeypatch):
     """salted_join == hash_join (multiset) with a dominant hot key, for
     every supported join type, at several salt values."""
     import numpy as np
     import ray.data as rd
 
+    import engine.joins
     from engine.joins import hash_join, salted_join
 
+    monkeypatch.setattr(engine.joins, "exchange_width", lambda: 8)
     rng = np.random.RandomState(17)
     n = 2000
     # key 7 holds ~40% of the left side
@@ -433,12 +439,11 @@ def test_salted_join_equivalence_all_hows(ray_session):
         "rv": np.arange(100, 140, dtype=np.int64)})).repartition(3)
 
     for how in ("inner", "left", "semi", "anti"):
-        ref = hash_join(left, right, on="k", num_buckets=8, how=how) \
-            .to_pandas()
+        ref = hash_join(left, right, on="k", how=how).to_pandas()
         ref_rows = sorted(map(tuple, ref.fillna(-1).values.tolist()))
         for salt in (2, 5):
             got = salted_join(left, right, on="k", hot_keys={7},
-                              salt=salt, num_buckets=8, how=how).to_pandas()
+                              salt=salt, how=how).to_pandas()
             got_rows = sorted(map(tuple, got[ref.columns].fillna(-1)
                                   .values.tolist()))
             assert got_rows == ref_rows, (how, salt)

@@ -193,7 +193,8 @@ def test_pack_shards_matches_window_cumsum(ray_session):
             assert tot >= 1500 - 400
 
 
-def test_pack_shards_parallelism_invariant(ray_session):
+def test_pack_shards_parallelism_invariant(ray_session, monkeypatch):
+    import engine.joins
     from engine.partition import pack_shards
 
     w = np.arange(1, 301, dtype=np.int64)
@@ -201,9 +202,9 @@ def test_pack_shards_parallelism_invariant(ray_session):
                   "w": pa.array(w)})
     a = {r["doc_id"]: r["shard_id"] for r in pack_shards(
         rd.from_arrow(t), "w", shard_weight=900).take_all()}
+    monkeypatch.setattr(engine.joins, "exchange_width", lambda: 5)
     b = {r["doc_id"]: r["shard_id"] for r in pack_shards(
-        rd.from_arrow(t).repartition(11), "w", shard_weight=900,
-        num_buckets=5).take_all()}
+        rd.from_arrow(t).repartition(11), "w", shard_weight=900).take_all()}
     assert a == b
 
 

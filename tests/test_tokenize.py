@@ -73,14 +73,17 @@ def test_pack_sequences_matches_reference(ray_session):
         assert got == ref, L
 
 
-def test_pack_sequences_parallelism_invariant(ray_session):
+def test_pack_sequences_parallelism_invariant(ray_session, monkeypatch):
     import ray.data as rd
 
+    import engine.joins
+
     vocab = _vocab(ray_session)
-    a = tz.pack_sequences(rd.from_arrow(_table()), vocab, 4,
-                          num_buckets=2).take_all()
-    b = tz.pack_sequences(rd.from_arrow(_table()).repartition(5), vocab, 4,
-                          num_buckets=8).take_all()
+    monkeypatch.setattr(engine.joins, "exchange_width", lambda: 2)
+    a = tz.pack_sequences(rd.from_arrow(_table()), vocab, 4).take_all()
+    monkeypatch.setattr(engine.joins, "exchange_width", lambda: 8)
+    b = tz.pack_sequences(rd.from_arrow(_table()).repartition(5), vocab,
+                          4).take_all()
     key = lambda rows: sorted((r["seq_id"], r["token_ids"]) for r in rows)
     assert key(a) == key(b)
 

@@ -24,10 +24,13 @@ trips) is paid once per run, not once per partition:
         (partition, url-hash bucket), writes each group to
         ``part-P.tmp/[bucket=K/]<task>-<seq>.parquet`` and returns only a
         small (partition, rows, rows_ok) count table — extracted rows never
-        enter the object store. Every file is encoded by one per-column
-        policy, ``schema.EXTRACTED_PARQUET`` (zstd; dictionaries only for
-        the closed-vocabulary columns; min/max statistics only for the
-        columns a reader prunes by), and reads back like any Parquet file
+        enter the object store. Every file is written by ``pq.write_table``
+        with one per-column policy, ``schema.EXTRACTED_PARQUET`` (zstd at
+        level 3; dictionaries only for the closed-vocabulary columns; delta
+        encoding for span offsets and ``n_chars``; min/max statistics only
+        for the columns a reader prunes by; no ARROW:schema footer key), and
+        reads back as EXTRACTED like any Parquet file — also next to files
+        an earlier run wrote under an older policy
       → driver: sums the count table as it streams; when partition P's rows
         reach its input's Parquet-footer row count, renames ``part-P.tmp`` to
         ``part-P``, then writes P's manifest.

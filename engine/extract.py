@@ -218,8 +218,9 @@ class ExtractActor:
     All parser state that is buildable ahead of time — compiled regexes,
     entity tables, tag-policy sets — is module-level in the engine submodules
     (the C1 analog of the once-per-process MarkItDown() at app/main.py:201),
-    so it is built once per worker process; ``__init__`` only runs a warm-up
-    row, and per-batch work is pure compute. Arrow in / Arrow out.
+    so it is built once per worker process; ``__init__`` only stores the
+    batch's settings, and per-batch work is pure compute. Arrow in / Arrow
+    out.
     """
 
     def __init__(self, max_file_size: int = MAX_FILE_SIZE,
@@ -230,9 +231,6 @@ class ExtractActor:
         # input columns passed through unchanged after the EXTRACTED ones
         # (e.g. the read's ``path`` tag that routes checkpointed rows)
         self.carry = carry
-        # Warm every parser path once so per-batch latency is flat.
-        extract_row(b"<html><body><p>warm</p></body></html>")
-        import engine.fixtures  # noqa: F401  (zlib/zipfile import warm-up)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         # one bulk conversion per column beats per-element .as_py() calls

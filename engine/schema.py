@@ -44,21 +44,36 @@ EXTRACTED = pa.schema(
     ]
 )
 
-# How EXTRACTED rows are encoded on disk (pq.write_table / write_parquet
-# keyword arguments), one decision per column:
-#  - zstd at Arrow's default level: fewer bytes than the default snappy on
-#    extracted text, for more write CPU (figures in BASELINE.md);
+# How EXTRACTED rows are encoded on disk (pq.write_table keyword arguments),
+# one decision per column:
+#  - zstd at level 3: fewer bytes than the default snappy on extracted text,
+#    and than zstd's level 1 at about the same write CPU; levels 6 to 12
+#    cost 2-8x level 3's write CPU (figures in BASELINE.md);
 #  - dictionaries only for the closed-vocabulary columns: per-row text never
 #    repeats, so a dictionary for it is built and then abandoned;
+#  - delta encoding for the integer columns: span offsets rise within a row
+#    and n_chars is small, so their deltas pack into a few bits each;
 #  - min/max statistics only for the columns a reader prunes by: by default
 #    every column chunk's footer also carries its min and max document body
-#    (whole, when under 4 KiB).
+#    (whole, when under 4 KiB);
+#  - no ARROW:schema footer key: the Parquet schema alone reads back as
+#    EXTRACTED, so the base64 copy of the Arrow schema in every file (about
+#    half of a small file's footer) buys no reader anything.
 # Names are leaf column paths; pyarrow ignores unknown ones silently, so
 # tests/test_checkpoint.py pins every name against EXTRACTED.
+# Ray 2.49's Dataset.write_parquet raises TypeError on store_schema, so this
+# is a pq.write_table policy only.
 EXTRACTED_PARQUET = {
     "compression": "zstd",
+    "compression_level": 3,
     "use_dictionary": ["format", "status", "error", "spans.list.element.kind"],
+    "column_encoding": {
+        "spans.list.element.start": "DELTA_BINARY_PACKED",
+        "spans.list.element.end": "DELTA_BINARY_PACKED",
+        "n_chars": "DELTA_BINARY_PACKED",
+    },
     "write_statistics": ["url", "url_hash", "n_chars", "format", "status"],
+    "store_schema": False,
 }
 
 # ---- derived: exploded line-chunks (reference chunk_text, app/main.py:243-250)

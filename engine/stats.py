@@ -1072,10 +1072,11 @@ def hll_registers_by_key(ds: "ray.data.Dataset", key_col: str, col: str,
 # weight-preserving, so the Ray plan is the hll_registers shape — per-block
 # partial sketches (<= k*L narrow (level, value) rows per block cross the
 # wire), one bucket-merge round bounds the driver's final merge at
-# width * k * L rows, never O(rows).
+# KLL_MERGE_FANIN * k * L rows, never O(rows).
 # ---------------------------------------------------------------------------
 
 KLL_DEFAULT_K = 512
+KLL_MERGE_FANIN = 32  # buckets of kll_partials' merge round, on any cluster
 
 
 def _kll_compact(levels: "list[np.ndarray]", k: int) -> "list[np.ndarray]":
@@ -1191,8 +1192,14 @@ def kll_partials(ds: "ray.data.Dataset", col: str,
                  k: int = KLL_DEFAULT_K) -> "ray.data.Dataset":
     """Distributed sketch build: per-block partial sketches emitted as
     narrow (level, value) rows, one bucket-merge round (deterministic
-    content-hash bucket per block) so the downstream consumer sees at most
-    width * k * log(N/k) rows."""
+    content-hash bucket per block, out of KLL_MERGE_FANIN) so the
+    downstream consumer sees at most KLL_MERGE_FANIN * k * log(N/k) rows.
+
+    The merge tree is fixed: which blocks share a bucket depends only on
+    their values, never on the exchange width, and each bucket's merge is
+    a function of its blocks' multiset (``_kll_compact`` sorts every level
+    it compacts). So the quantiles do not depend on the cluster size; only
+    the exchange that carries the rows runs at ``exchange_width()``."""
     import zlib
 
     import numpy as np
@@ -1204,7 +1211,7 @@ def kll_partials(ds: "ray.data.Dataset", col: str,
     def partial(t: pa.Table) -> pa.Table:
         v = t[col].to_numpy(zero_copy_only=False).astype(np.float64)
         rows = _kll_rows(kll_build(v, k))
-        b = zlib.crc32(v.tobytes()) % width  # deterministic spread
+        b = zlib.crc32(v.tobytes()) % KLL_MERGE_FANIN  # deterministic spread
         return rows.append_column(
             "__bucket", pa.array(np.full(rows.num_rows, b, dtype=np.int32)))
 

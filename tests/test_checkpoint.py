@@ -126,12 +126,13 @@ def _leaf_paths(schema: pa.Schema) -> set[str]:
 
 
 def test_parquet_policy_names_real_columns():
-    """pyarrow ignores unknown names in use_dictionary/write_statistics, so a
-    renamed column would drop out of the policy silently."""
+    """pyarrow ignores unknown names in use_dictionary, write_statistics and
+    column_encoding, so a renamed column would drop out of the policy
+    silently."""
     from engine.schema import EXTRACTED, EXTRACTED_PARQUET
 
     leaves = _leaf_paths(EXTRACTED) | {"url_hash"}
-    for key in ("use_dictionary", "write_statistics"):
+    for key in ("use_dictionary", "write_statistics", "column_encoding"):
         assert set(EXTRACTED_PARQUET[key]) <= leaves, key
 
 
@@ -139,8 +140,9 @@ def test_parquet_policy_names_real_columns():
 def test_committed_files_follow_parquet_policy(ray_session, tmp_path,
                                                buckets):
     """Every committed column chunk is zstd, carries statistics exactly when
-    its column is in write_statistics and a dictionary page exactly when it
-    is in use_dictionary."""
+    its column is in write_statistics, a dictionary page exactly when it is
+    in use_dictionary and delta-encoded pages when column_encoding says so;
+    no footer carries a copy of the Arrow schema."""
     from engine.schema import EXTRACTED_PARQUET
 
     src = str(tmp_path / "pages")
@@ -150,11 +152,16 @@ def test_committed_files_follow_parquet_policy(ray_session, tmp_path,
                       url_hash_buckets=buckets)
     stats_cols = set(EXTRACTED_PARQUET["write_statistics"])
     dict_cols = set(EXTRACTED_PARQUET["use_dictionary"])
+    delta_cols = {"spans.list.element.start", "spans.list.element.end",
+                  "n_chars"}
+    assert EXTRACTED_PARQUET["column_encoding"] == dict.fromkeys(
+        delta_cols, "DELTA_BINARY_PACKED")
     files = [f for pid in (0, 1)
              for f in cp._parquet_files(cp.part_dir(out, pid))]
     assert files
     for path in files:
         meta = pq.read_metadata(path)
+        assert b"ARROW:schema" not in (meta.metadata or {}), path
         for rg in range(meta.num_row_groups):
             for i in range(meta.num_columns):
                 col = meta.row_group(rg).column(i)
@@ -163,6 +170,53 @@ def test_committed_files_follow_parquet_policy(ray_session, tmp_path,
                 assert col.is_stats_set == (name in stats_cols), (path, name)
                 assert col.has_dictionary_page == (name in dict_cols), (
                     path, name)
+                assert ("DELTA_BINARY_PACKED" in col.encodings) == (
+                    name in delta_cols), (path, name, col.encodings)
+
+
+# The policy checkpoint files were written with before it dropped the
+# ARROW:schema footer key, delta-encoded the integer columns and raised the
+# zstd level: files an earlier run committed carry it.
+_EARLIER_PARQUET = {
+    "compression": "zstd",
+    "use_dictionary": ["format", "status", "error", "spans.list.element.kind"],
+    "write_statistics": ["url", "url_hash", "n_chars", "format", "status"],
+}
+
+
+@pytest.mark.parametrize("buckets", [0, 8])
+def test_resume_over_files_of_the_earlier_policy(ray_session, tmp_path,
+                                                 buckets):
+    """A run committed under the earlier policy, resumed under the current
+    one, reads back equal to a clean run: same schema, same rows."""
+    from engine.schema import EXTRACTED
+
+    src = str(tmp_path / "pages")
+    out = str(tmp_path / "out")
+    write_pages_parquet(src, 40, seed=30, num_files=2)
+    ref_out = str(tmp_path / "ref")
+    cp.run_extraction(src, ref_out, CFG, num_partitions=2,
+                      url_hash_buckets=buckets)
+
+    cp.run_extraction(src, out, CFG, num_partitions=2,
+                      url_hash_buckets=buckets)
+    for path in cp._parquet_files(out):  # both partitions, earlier policy
+        pq.write_table(pq.read_table(path), path, **_EARLIER_PARQUET)
+    os.remove(os.path.join(out, "_manifest", "part-00001.json"))
+    cp.run_extraction(src, out, CFG, num_partitions=2,
+                      url_hash_buckets=buckets)
+
+    def has_arrow_schema(pid):
+        return {b"ARROW:schema" in (pq.read_metadata(f).metadata or {})
+                for f in cp._parquet_files(cp.part_dir(out, pid))}
+
+    assert has_arrow_schema(0) == {True}  # the mix really happened
+    assert has_arrow_schema(1) == {False}
+    for path in cp._parquet_files(out):
+        assert pq.read_table(path, columns=EXTRACTED.names).schema.equals(
+            EXTRACTED), path
+    assert cp.read_extracted(out).schema().base_schema.equals(EXTRACTED)
+    assert _sorted_rows(out) == _sorted_rows(ref_out)
 
 
 @pytest.mark.parametrize("skew", [-1, 1])

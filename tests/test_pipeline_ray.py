@@ -78,3 +78,26 @@ def test_row_timeout_in_pipeline(ray_session):
     assert rows["slow"]["status"] == "failed"
     assert "exceeded" in rows["slow"]["error"]
     assert rows["ok"]["status"] == "ok"
+
+
+def test_readme_plain_write_line_runs(ray_session, tmp_path):
+    """README.md's plain-write example line runs as written (its output path
+    swapped for a temporary one) and writes every row with EXTRACTED's
+    columns."""
+    import os
+
+    import pyarrow.parquet as pq
+
+    from engine.schema import EXTRACTED
+
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as f:
+        [line] = [ln for ln in f if ln.startswith("extracted.write_parquet(")]
+    out = str(tmp_path / "plain")
+    code = line.split("#")[0].replace('"/out/plain"', repr(out))
+    src = str(tmp_path / "pages")
+    write_pages_parquet(src, 20, seed=13, num_files=2)
+    exec(code, {"extracted": extract_from_parquet(src)})
+    written = pq.read_table(out)
+    assert written.num_rows == 20
+    assert written.schema.names == EXTRACTED.names

@@ -7,51 +7,56 @@ SURVEY.md §4.2 items 4-5.
 Layout (resumable output — one directory per partition, never one giant file):
 
     out_dir/
-      part-00007/[bucket=K/]*.parquet  extracted rows of partition 7
-      _manifest/part-00007.json        lineage + metrics, written AFTER data
+      part-00007/[bucket=K/]data.parquet  extracted rows of partition 7
+      _manifest/part-00007.json           lineage + metrics, written AFTER data
 
 Partitions are **file-granular**: the input parquet files are split into
 ``num_partitions`` contiguous groups, so a resume re-reads only the files of
 the partitions it still owes.
 
-Execution is ONE streaming Dataset over every pending partition, so the fixed
-cost of a Ray execution (planning, read and write task start-up, stats round
-trips) is paid once per run, not once per partition:
+Execution is ONE Ray Data stage with one stateless task per pending
+partition, so a partition is the unit that runs, retries and commits, and
+the fixed cost of a Ray task is paid once per partition:
 
-    read_parquet(every pending file, include_paths=True)
-      → extract stage (carries the ``path`` column through)
-      → write stage, fused into the same task: splits each block by
-        (partition, url-hash bucket), writes each group to
-        ``part-P.tmp/[bucket=K/]<task>-<seq>.parquet`` and returns only a
-        small (partition, rows, rows_ok) count table — extracted rows never
-        enter the object store. Every file is written by ``pq.write_table``
-        with one per-column policy, ``schema.EXTRACTED_PARQUET`` (zstd at
-        level 3; dictionaries only for the closed-vocabulary columns; delta
-        encoding for span offsets and ``n_chars``; min/max statistics only
-        for the columns a reader prunes by; no ARROW:schema footer key), and
-        reads back as EXTRACTED like any Parquet file — also next to files
-        an earlier run wrote under an older policy
-      → driver: sums the count table as it streams; when partition P's rows
-        reach its input's Parquet-footer row count, renames ``part-P.tmp`` to
-        ``part-P``, then writes P's manifest.
+    from_items(pending partition ids)
+      → map_batches(_extract_partition, batch_size=None): each task streams
+        its partition's files with ``ParquetFile.iter_batches`` (``url`` and
+        ``html`` only, ``batch_size`` rows at a time), runs ``extract_batch``
+        on each batch, and writes ``part-P.tmp/[bucket=K/]data.parquet`` —
+        one file per (partition, url-hash bucket) with the per-column
+        policy ``schema.EXTRACTED_PARQUET``. Pages and extracted rows never
+        enter the object store; only a one-row (partition, rows, rows_ok)
+        count table does
+      → driver: when partition P's count reaches its input's Parquet-footer
+        row count, renames ``part-P.tmp`` to ``part-P``, then writes P's
+        manifest.
 
-Atomicity: a crash at any point leaves each partition either committed (data
-dir + manifest) or not done (a ``.tmp`` dir, or a data dir with no manifest),
-which the next run wipes before it writes. Output file names are
-deterministic per (task, block), so a retried Ray task overwrites its own
-files instead of duplicating rows.
+Readers walk every ``*.parquet`` file of a committed partition, so
+partitions an earlier run wrote under an older policy, or as several
+``<task>-<seq>.parquet`` files, read back as EXTRACTED beside new ones.
 
-Row-count guard: a partition whose streamed rows exceed its footer count, or
-fall short of it when the stream ends, raises and is never committed (one
-already committed is retracted, manifest first).
+Memory bound: a task buffers its extracted rows and flushes them as one
+row group per bucket file only when the buffer passes Ray's
+``DataContext.target_max_block_size``, so a task holds about one Ray block
+of output, and a partition of ordinary size writes one row group per file.
 
-Manifest: ``rows_in``/``rows_ok``/``rows_err`` are the write stage's counts
-(no re-read of the committed ``status`` column). ``bytes_in`` sums the sizes
-of the partition's input files and ``bytes_out`` those of its committed
-Parquet files, read at commit time — exact under Ray task retries, which
-overwrite their own files. ``wall_s`` is the seconds from the start of the
-run to that partition's commit — partitions share one execution, so their
-walls overlap rather than add up.
+Retry and atomicity: a task wipes its own ``part-P.tmp/`` before it writes,
+and file names are deterministic, so a retried task rewrites the partition
+instead of duplicating rows. A crash at any point leaves each partition
+either committed (data dir + manifest) or not done (a ``.tmp`` dir, or a
+data dir with no manifest), which the next run wipes before it writes.
+
+Row-count guard: a partition whose task reports more or fewer rows than its
+input's footer count is never committed, and the run raises once every
+other partition has reported.
+
+Manifest: ``rows_in``/``rows_ok``/``rows_err`` are the partition task's
+counts (no re-read of the committed ``status`` column). ``bytes_in`` sums the
+sizes of the partition's input files and ``bytes_out`` those of its
+committed Parquet files, read at commit time — exact under Ray task
+retries, which rewrite the partition. ``wall_s`` is the seconds from the
+start of the run to that partition's commit — partitions share one
+execution, so their walls overlap rather than add up.
 
 On resume, completed partitions are skipped via the manifest 'done' set — the
 §2.5 anti-join, implemented as a driver-side broadcast set because the
@@ -60,19 +65,21 @@ manifest is tiny (one row per partition).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import shutil
 import time
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 import ray.data
+from ray.data import DataContext
 
-from engine.pipeline import PipelineConfig, extract_pages
+from engine.extract import extract_batch
+from engine.pipeline import PipelineConfig
 from engine.schema import EXTRACTED_PARQUET, MANIFEST
 
 
@@ -135,7 +142,7 @@ def _parquet_files(root: str) -> list[str]:
     return sorted(out)
 
 
-# what the write stage returns per block: rows written per partition
+# what a partition task returns: rows written per partition
 _COUNTS = pa.schema([
     pa.field("partition", pa.int32()),
     pa.field("rows", pa.int64()),
@@ -147,76 +154,81 @@ def _footer_rows(files: list[str]) -> int:
     return sum(pq.read_metadata(f).num_rows for f in files)
 
 
-def _write_block(block: pa.Table, out_dir: str, part_of: dict[str, int],
-                 url_hash_buckets: int) -> pa.Table:
-    """The write stage: one Parquet file per (block, partition, bucket) under
-    ``part-P.tmp/``, named by the task index and the block's sequence number
-    within the task — deterministic, so a retried task overwrites its own
-    files. Returns only the block's per-partition counts (_COUNTS)."""
-    from ray.data._internal.execution.interfaces.task_context import \
-        TaskContext
-
+def _write_partition(files: list[str], tmp_dir: str, cfg: PipelineConfig,
+                     url_hash_buckets: int) -> tuple[int, int]:
+    """Extract ``files`` into ``tmp_dir/[bucket=K/]data.parquet``, wiping
+    whatever an earlier attempt left there; returns (rows, rows_ok)."""
     from engine.partition import add_url_hash_batch
 
-    ctx = TaskContext.get_current()  # fresh per task attempt
-    seq = ctx.kwargs.get("checkpoint_block_seq", 0)
-    ctx.kwargs["checkpoint_block_seq"] = seq + 1
-    fname = f"{ctx.task_idx:05d}-{seq:05d}.parquet"
+    shutil.rmtree(tmp_dir, ignore_errors=True)
+    limit = DataContext.get_current().target_max_block_size
+    buffered: dict[str, list[pa.Table]] = {}  # group dir → extracted rows
+    buffered_bytes = rows = ok = 0
+    with contextlib.ExitStack() as open_files:
+        writers: dict[str, pq.ParquetWriter] = {}
 
-    paths = block["path"].combine_chunks().dictionary_encode()
-    pid_of_path = np.array([part_of[p] for p in paths.dictionary.to_pylist()],
-                           dtype=np.int32)
-    pids = pid_of_path[paths.indices.to_numpy()]
-    data = block.drop_columns(["path"])
-    if url_hash_buckets:
-        data = add_url_hash_batch(data, num_buckets=url_hash_buckets)
-    ok = pc.equal(data["status"], "ok").to_numpy()
+        def flush() -> None:  # one row group per group file
+            for group_dir, tables in buffered.items():
+                if group_dir not in writers:
+                    os.makedirs(group_dir, exist_ok=True)
+                    writers[group_dir] = open_files.enter_context(
+                        pq.ParquetWriter(
+                            os.path.join(group_dir, "data.parquet"),
+                            tables[0].schema, **EXTRACTED_PARQUET))
+                writers[group_dir].write_table(pa.concat_tables(tables))
+            buffered.clear()
 
-    counts = {name: [] for name in _COUNTS.names}
-    for pid in np.unique(pids):
-        mask = pids == pid
-        part = data.filter(mask)
-        tmp_dir = part_dir(out_dir, int(pid)) + ".tmp"
-        groups = [(tmp_dir, part)]
-        if url_hash_buckets:
-            groups = [(os.path.join(tmp_dir, f"bucket={b}"),
-                       part.filter(pc.equal(part["bucket"], b))
-                           .drop_columns(["bucket"]))
-                      for b in pc.unique(part["bucket"]).to_pylist()]
-        for group_dir, group in groups:
-            os.makedirs(group_dir, exist_ok=True)
-            pq.write_table(group, os.path.join(group_dir, fname),
-                           **EXTRACTED_PARQUET)
-        counts["partition"].append(int(pid))
-        counts["rows"].append(part.num_rows)
-        counts["rows_ok"].append(int(ok[mask].sum()))
-    return pa.table(counts, schema=_COUNTS)
+        for path in files:
+            for pages in pq.ParquetFile(path).iter_batches(
+                    batch_size=cfg.batch_size, columns=["url", "html"]):
+                out = extract_batch(pa.Table.from_batches([pages]),
+                                    cfg.max_file_size, cfg.row_timeout_s)
+                rows += out.num_rows
+                ok += out["status"].to_pylist().count("ok")
+                buffered_bytes += out.nbytes
+                groups = [(tmp_dir, out)]
+                if url_hash_buckets:
+                    out = add_url_hash_batch(out, num_buckets=url_hash_buckets)
+                    groups = [(os.path.join(tmp_dir, f"bucket={b}"),
+                               out.filter(pc.equal(out["bucket"], b))
+                                  .drop_columns(["bucket"]))
+                              for b in pc.unique(out["bucket"]).to_pylist()]
+                for group_dir, group in groups:
+                    buffered.setdefault(group_dir, []).append(group)
+                if buffered_bytes > limit:  # about one Ray block held
+                    flush()
+                    buffered_bytes = 0
+        flush()
+    return rows, ok
 
 
-def _extract_and_write(part_of: dict[str, int], out_dir: str,
-                       cfg: PipelineConfig,
-                       url_hash_buckets: int) -> "ray.data.Dataset":
-    """read → extract → write over every file in ``part_of``; the extract
-    and write stages fuse into one task, whose output is _COUNTS rows."""
-    pages = ray.data.read_parquet(sorted(part_of), columns=["url", "html"],
-                                  include_paths=True)
-    return extract_pages(pages, cfg, carry=("path",)).map_batches(
-        _write_block,
-        fn_kwargs={"out_dir": out_dir, "part_of": part_of,
+def _extract_partition(batch: pa.Table, files_of: dict[int, list[str]],
+                       out_dir: str, cfg: PipelineConfig,
+                       url_hash_buckets: int) -> pa.Table:
+    """The partition task: writes each partition in ``batch`` (one, as
+    run_extraction plans it) to ``part-P.tmp`` and returns its _COUNTS
+    row."""
+    pids = batch["item"].to_pylist()
+    counts = [_write_partition(files_of[pid], part_dir(out_dir, pid) + ".tmp",
+                               cfg, url_hash_buckets) for pid in pids]
+    return pa.table({"partition": pids,
+                     "rows": [rows for rows, _ in counts],
+                     "rows_ok": [ok for _, ok in counts]}, schema=_COUNTS)
+
+
+def _extract_partitions(files_of: dict[int, list[str]], out_dir: str,
+                        cfg: PipelineConfig,
+                        url_hash_buckets: int) -> "ray.data.Dataset":
+    """One _extract_partition task per partition of ``files_of``; the
+    Dataset's rows are their _COUNTS rows."""
+    return ray.data.from_items(
+        sorted(files_of), override_num_blocks=len(files_of)).map_batches(
+        _extract_partition,
+        fn_kwargs={"files_of": files_of, "out_dir": out_dir, "cfg": cfg,
                    "url_hash_buckets": url_hash_buckets},
         batch_format="pyarrow",
         batch_size=None,
     )
-
-
-def _retract(out_dir: str, pid: int) -> None:
-    """Un-commit a partition: manifest first, so no manifest ever describes
-    missing data."""
-    try:
-        os.remove(_manifest_path(out_dir, pid))
-    except FileNotFoundError:
-        pass
-    shutil.rmtree(part_dir(out_dir, pid), ignore_errors=True)
 
 
 def run_extraction(
@@ -229,13 +241,15 @@ def run_extraction(
 ) -> pa.Table:
     """Checkpointed extraction over parquet shards; returns the manifest table.
 
-    Every pending partition runs in one streaming Dataset and is committed on
-    its own the moment its last row is written (module docstring: commit
-    protocol, row-count guard, manifest fields); partitions an earlier run
-    committed are skipped when ``resume`` is true. ``url_hash_buckets > 0``
-    lays each partition out as ``bucket=K/`` directories by url hash
-    (engine.partition, §4.2 item 1) with no shuffle. A failed run raises
-    after committing whatever finished; rerunning it resumes from there.
+    Every pending partition runs as one Ray task of a single Dataset and is
+    committed on its own the moment its task reports (module docstring:
+    commit protocol, row-count guard, manifest fields); partitions an
+    earlier run committed are skipped when ``resume`` is true. The number of
+    tasks equals the number of pending partitions, so choose
+    ``num_partitions`` at least the cluster's CPU count, or CPUs sit idle.
+    ``url_hash_buckets > 0`` lays each partition out as ``bucket=K/``
+    directories by url hash (engine.partition, §4.2 item 1) with no shuffle.
+    A failed run raises after committing what finished; a rerun resumes.
     """
     t0 = time.time()
     if isinstance(input_paths, str):
@@ -250,17 +264,17 @@ def run_extraction(
             for pid, files in enumerate(plan_partitions(input_paths,
                                                         num_partitions))
             if pid not in done}
-    for pid in todo:  # leftovers of a dead run
-        shutil.rmtree(part_dir(out_dir, pid) + ".tmp", ignore_errors=True)
+    if not todo:
+        return manifest_table(out_dir)
+    for pid in todo:  # a dead run's data dir with no manifest
         shutil.rmtree(part_dir(out_dir, pid), ignore_errors=True)
     expected = {pid: _footer_rows(files) for pid, files in todo.items()}
-    written = {pid: [0, 0] for pid in todo}  # rows, rows_ok
+    written = dict.fromkeys(todo, 0)  # rows each partition's task reported
 
-    def commit(pid: int) -> None:
+    def commit(pid: int, rows: int, ok: int) -> None:
         pdir = part_dir(out_dir, pid)
         os.makedirs(pdir + ".tmp", exist_ok=True)  # an empty input wrote none
         os.replace(pdir + ".tmp", pdir)
-        rows, ok = written[pid]
         _atomic_write_json(
             _manifest_path(out_dir, pid),
             {
@@ -277,32 +291,18 @@ def run_extraction(
             },
         )
 
-    for pid in todo:
-        if not expected[pid]:
-            commit(pid)
-    part_of = {os.path.abspath(f): pid for pid, files in todo.items()
-               if expected[pid] for f in files}
-    if not part_of:
-        return manifest_table(out_dir)
-
-    counts = _extract_and_write(part_of, out_dir, cfg, url_hash_buckets)
+    counts = _extract_partitions(todo, out_dir, cfg, url_hash_buckets)
     for batch in counts.iter_batches(batch_format="pyarrow", batch_size=None):
         columns = (batch[name].to_pylist() for name in _COUNTS.names)
         for pid, rows, ok in zip(*columns):
-            written[pid][0] += rows
-            written[pid][1] += ok
-            if written[pid][0] > expected[pid]:
-                _retract(out_dir, pid)
-                raise RuntimeError(
-                    f"partition {pid}: {written[pid][0]} rows written for "
-                    f"{expected[pid]} input rows")
-            if written[pid][0] == expected[pid]:
-                commit(pid)
-    short = {pid: f"{written[pid][0]}/{expected[pid]}" for pid in todo
-             if written[pid][0] < expected[pid]}
-    if short:
-        raise RuntimeError(f"partitions ended short of their input rows "
-                           f"(written/input): {short}")
+            written[pid] = rows
+            if rows == expected[pid]:
+                commit(pid, rows, ok)
+    wrong = {pid: f"{written[pid]}/{expected[pid]}" for pid in todo
+             if written[pid] != expected[pid]}
+    if wrong:
+        raise RuntimeError(f"partitions whose written rows differ from their "
+                           f"input rows (written/input): {wrong}")
     return manifest_table(out_dir)
 
 

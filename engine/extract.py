@@ -224,13 +224,9 @@ class ExtractActor:
     """
 
     def __init__(self, max_file_size: int = MAX_FILE_SIZE,
-                 row_timeout_s: float = ROW_TIMEOUT_S,
-                 carry: tuple[str, ...] = ()):
+                 row_timeout_s: float = ROW_TIMEOUT_S):
         self.max_file_size = max_file_size
         self.row_timeout_s = row_timeout_s
-        # input columns passed through unchanged after the EXTRACTED ones
-        # (e.g. the read's ``path`` tag that routes checkpointed rows)
-        self.carry = carry
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         # one bulk conversion per column beats per-element .as_py() calls
@@ -244,14 +240,10 @@ class ExtractActor:
                                   self.row_timeout_s)
                 for key, val in row.items():
                     out[key].append(val)
-        table = pa.table(out, schema=EXTRACTED)
-        for name in self.carry:
-            table = table.append_column(batch.schema.field(name), batch[name])
-        return table
+        return pa.table(out, schema=EXTRACTED)
 
 
 def extract_batch(batch: pa.Table, max_file_size: int = MAX_FILE_SIZE,
-                  row_timeout_s: float = ROW_TIMEOUT_S,
-                  carry: tuple[str, ...] = ()) -> pa.Table:
+                  row_timeout_s: float = ROW_TIMEOUT_S) -> pa.Table:
     """The pipeline's extract stage: one stateless task per batch."""
-    return ExtractActor(max_file_size, row_timeout_s, carry)(batch)
+    return ExtractActor(max_file_size, row_timeout_s)(batch)

@@ -89,12 +89,23 @@ def decode_png(payload: bytes) -> np.ndarray:
         raise ValueError(f"unsupported PNG color type {color}")
     if w == 0 or h == 0:
         raise ValueError("zero-dimension PNG")
+    stride = w * channels
+    size = h * (stride + 1)
+    inflater = zlib.decompressobj()
     try:
-        raw = zlib.decompress(bytes(idat))
+        # one byte past the declared size tells an oversize stream; its rest
+        # is inflated 64 KiB at a time and dropped, to tell a corrupt one
+        raw = inflater.decompress(bytes(idat), size + 1)
+        while not inflater.eof:
+            if not (inflater.decompress(inflater.unconsumed_tail, 1 << 16)
+                    or inflater.unconsumed_tail):
+                break  # input spent before the stream's end
     except zlib.error as exc:
         raise ValueError(f"PNG IDAT inflate failed: {exc}") from exc
-    stride = w * channels
-    if len(raw) != h * (stride + 1):
+    if not inflater.eof:  # what zlib.decompress raises for it
+        raise ValueError("PNG IDAT inflate failed: Error -5 while "
+                         "decompressing data: incomplete or truncated stream")
+    if len(raw) != size:
         raise ValueError("PNG scanline payload size mismatch")
     rows = np.frombuffer(raw, dtype=np.uint8).reshape(h, stride + 1)
     filters = rows[:, 0]

@@ -17,12 +17,9 @@ Scale notes (the 100 TB design, tested single-node):
 - a SINGLE scan: per-row skew is absorbed by small row-batches and Ray's
   dynamic block splitting, not by static lanes chosen up front.
 - ``columns=["url", "html"]`` pruning at the read: extraction needs nothing else.
-- checkpointed output (engine.checkpoint.run_extraction) is ONE streaming
-  pass over every pending partition, never one execution per partition:
-  ``carry=("path",)`` threads the read's file path through the extract
-  stage, and a write stage fused into the same task routes each row to its
-  partition's directory, so extracted rows never enter the object store
-  and each partition still commits (and resumes) on its own.
+- checkpointed output (engine.checkpoint.run_extraction) bypasses this
+  graph: one task per partition reads, extracts and writes that partition,
+  so its pages never enter the object store.
 """
 
 from __future__ import annotations
@@ -53,14 +50,12 @@ def read_pages(source: str | list[str], columns: list[str] | None = None,
 
 
 def extract_pages(pages: "ray.data.Dataset",
-                  cfg: PipelineConfig = PipelineConfig(),
-                  carry: tuple[str, ...] = ()) -> "ray.data.Dataset":
-    """pages(url, html, ...) → extracted table (EXTRACTED schema, then the
-    ``carry`` input columns unchanged)."""
+                  cfg: PipelineConfig = PipelineConfig()) -> "ray.data.Dataset":
+    """pages(url, html, ...) → extracted table (EXTRACTED schema)."""
     return pages.map_batches(
         extract_batch,
         fn_kwargs={"max_file_size": cfg.max_file_size,
-                   "row_timeout_s": cfg.row_timeout_s, "carry": carry},
+                   "row_timeout_s": cfg.row_timeout_s},
         batch_format="pyarrow",
         batch_size=cfg.batch_size,
     )

@@ -44,7 +44,7 @@ EXTRACTED = pa.schema(
     ]
 )
 
-# How EXTRACTED rows are encoded on disk (pq.write_table keyword arguments),
+# How EXTRACTED rows are encoded on disk (pq.ParquetWriter keyword arguments),
 # one decision per column:
 #  - zstd at level 3: fewer bytes than the default snappy on extracted text,
 #    and than zstd's level 1 at about the same write CPU; levels 6 to 12
@@ -62,7 +62,7 @@ EXTRACTED = pa.schema(
 # Names are leaf column paths; pyarrow ignores unknown ones silently, so
 # tests/test_checkpoint.py pins every name against EXTRACTED.
 # Ray 2.49's Dataset.write_parquet raises TypeError on store_schema, so this
-# is a pq.write_table policy only.
+# is a pyarrow writer policy only.
 EXTRACTED_PARQUET = {
     "compression": "zstd",
     "compression_level": 3,

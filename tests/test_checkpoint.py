@@ -273,25 +273,129 @@ def test_wrong_schema_shard_fails_and_resume_heals(ray_session, tmp_path):
     assert _sorted_rows(out) == _sorted_rows(ref_out)
 
 
-def test_extract_and_write_run_as_one_fused_operator(ray_session, tmp_path,
-                                                     monkeypatch):
+def test_one_task_per_pending_partition(ray_session, tmp_path, monkeypatch):
+    """The run is one map operator over the pending partition ids, with no
+    Parquet read stage, and it runs one task per pending partition."""
+    import re
+
     src = str(tmp_path / "pages")
     out = str(tmp_path / "out")
     write_pages_parquet(src, 40, seed=28, num_files=2)
     built = []
-    build = cp._extract_and_write
+    build = cp._extract_partitions
 
     def record(*args):
         built.append(build(*args))
         return built[-1]
 
-    monkeypatch.setattr(cp, "_extract_and_write", record)
+    def tasks_run() -> int:
+        stats = built[-1].stats()
+        operators = [line for line in stats.splitlines()
+                     if line.startswith("Operator ")]
+        assert not any("ReadParquet" in op for op in operators), operators
+        maps = [op for op in operators if "MapBatches" in op]
+        assert len(maps) == 1, operators
+        assert "_extract_partition" in maps[0], operators
+        return int(re.search(r"(\d+) tasks executed", maps[0]).group(1))
+
+    monkeypatch.setattr(cp, "_extract_partitions", record)
     cp.run_extraction(src, out, CFG, num_partitions=2, url_hash_buckets=8)
     assert len(built) == 1  # one execution for every partition
-    operators = [line.split(":")[0] for line in built[0].stats().splitlines()
-                 if line.startswith("Operator ")]
-    assert any("MapBatches(extract_batch)->MapBatches(_write_block)" in op
-               for op in operators), operators
+    assert tasks_run() == 2
+    os.remove(os.path.join(out, "_manifest", "part-00000.json"))
+    cp.run_extraction(src, out, CFG, num_partitions=2, url_hash_buckets=8)
+    assert len(built) == 2
+    assert tasks_run() == 1
+    assert cp.done_partitions(out) == {0, 1}
+
+
+def test_partition_task_rewrites_its_tmp_dir(tmp_path):
+    """A retried task wipes what an earlier attempt left in its
+    ``part-P.tmp`` and writes one single-row-group file per bucket; called
+    in this process, no Ray involved."""
+    src = str(tmp_path / "pages")
+    out = str(tmp_path / "out")
+    write_pages_parquet(src, 40, seed=32, num_files=2)
+    files = sorted(os.path.join(src, n) for n in os.listdir(src))
+    tmp_dir = cp.part_dir(out, 0) + ".tmp"
+    stale = os.path.join(tmp_dir, "bucket=9", "stale.parquet")
+    for attempt in range(2):
+        os.makedirs(os.path.dirname(stale), exist_ok=True)
+        pq.write_table(pa.table({"url": ["stale"]}), stale)
+        counts = cp._extract_partition(pa.table({"item": [0]}), {0: files},
+                                       out, CFG, url_hash_buckets=8)
+        assert counts.to_pylist() == [
+            {"partition": 0, "rows": 40,
+             "rows_ok": counts["rows_ok"][0].as_py()}], attempt
+        assert not os.path.exists(os.path.dirname(stale)), attempt
+        buckets = sorted(os.listdir(tmp_dir))
+        assert buckets and all(b.startswith("bucket=") for b in buckets)
+        for bucket in buckets:
+            names = os.listdir(os.path.join(tmp_dir, bucket))
+            assert len(names) == 1, (bucket, names)
+            meta = pq.read_metadata(os.path.join(tmp_dir, bucket, names[0]))
+            assert meta.num_row_groups == 1, bucket
+        assert sum(pq.read_metadata(f).num_rows
+                   for f in cp._parquet_files(tmp_dir)) == 40
+
+
+def test_small_block_size_adds_row_groups(ray_session, tmp_path, monkeypatch):
+    """Below Ray's target block size a task starts a new row group each time
+    its buffered output passes the limit; the rows read back unchanged."""
+    from ray.data import DataContext
+
+    src = str(tmp_path / "pages")
+    write_pages_parquet(src, 60, seed=33, num_files=2)
+    ref_out = str(tmp_path / "ref")
+    cp.run_extraction(src, ref_out, CFG, num_partitions=2, url_hash_buckets=4)
+
+    def row_groups(out):
+        return [pq.read_metadata(f).num_row_groups
+                for f in cp._parquet_files(out)]
+
+    assert set(row_groups(ref_out)) == {1}
+    out = str(tmp_path / "out")
+    monkeypatch.setattr(DataContext.get_current(), "target_max_block_size",
+                        1024)
+    cp.run_extraction(src, out, CFG, num_partitions=2, url_hash_buckets=4)
+    assert max(row_groups(out)) > 1
+    assert len(row_groups(out)) == len(row_groups(ref_out))
+    assert _sorted_rows(out) == _sorted_rows(ref_out)
+
+
+@pytest.mark.parametrize("buckets", [0, 8])
+def test_resume_over_the_per_block_file_layout(ray_session, tmp_path,
+                                               buckets):
+    """Partitions committed as several ``<task>-<seq>.parquet`` files per
+    directory, the naming of runs whose write stage wrote one file per Ray
+    block, resume into a run that equals a clean one."""
+    src = str(tmp_path / "pages")
+    out = str(tmp_path / "out")
+    write_pages_parquet(src, 40, seed=34, num_files=2)
+    ref_out = str(tmp_path / "ref")
+    cp.run_extraction(src, ref_out, CFG, num_partitions=2,
+                      url_hash_buckets=buckets)
+
+    cp.run_extraction(src, out, CFG, num_partitions=2,
+                      url_hash_buckets=buckets)
+    for path in cp._parquet_files(out):  # both partitions, earlier naming
+        table = pq.read_table(path)
+        half = table.num_rows // 2
+        for seq, part in enumerate((table.slice(0, half), table.slice(half))):
+            pq.write_table(part, os.path.join(os.path.dirname(path),
+                                              f"00003-{seq:05d}.parquet"))
+        os.remove(path)
+    os.remove(os.path.join(out, "_manifest", "part-00001.json"))
+    cp.run_extraction(src, out, CFG, num_partitions=2,
+                      url_hash_buckets=buckets)
+
+    names = {pid: {os.path.basename(f)
+                   for f in cp._parquet_files(cp.part_dir(out, pid))}
+             for pid in (0, 1)}
+    assert names[0] == {"00003-00000.parquet", "00003-00001.parquet"}
+    assert names[1] == {"data.parquet"}
+    assert cp.done_partitions(out) == {0, 1}
+    assert _sorted_rows(out) == _sorted_rows(ref_out)
 
 
 def test_tmp_dir_from_dead_run_is_cleaned(ray_session, tmp_path):

@@ -6,6 +6,10 @@ codecs' encoders). The modules a production extraction worker runs —
 ``pdfx`` and ``docxx`` packages — and every engine module they import,
 at module level or inside a function, must not load it. ``queries.py``
 builds its planted oracle inputs from it lazily and is not on this path.
+
+A second guard covers all of ``engine/``: no module imports a private
+``ray.*._internal`` module, whose names and layout change between Ray
+releases without notice.
 """
 
 from __future__ import annotations
@@ -97,3 +101,41 @@ def test_extraction_path_never_imports_fixtures():
     assert "engine.fixtures" not in seen, (
         f"engine.fixtures is imported by {seen.get('engine.fixtures')}, "
         "a module on the extraction path")
+
+
+def private_ray_imports(source: str) -> set[str]:
+    """Every ``ray`` module under an ``_internal`` package that ``source``
+    imports, wherever the import statement sits."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            mods = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            mods = [node.module or ""]
+            mods += [f"{mods[0]}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        out.update(m for m in mods if m.split(".")[0] == "ray"
+                   and "_internal" in m.split("."))
+    return out
+
+
+def test_private_ray_guard_sees_lazy_and_from_imports():
+    src = ("import ray.data\n"
+           "from ray.data import DataContext\n"
+           "def f():\n"
+           "    from ray.data._internal.execution.interfaces.task_context "
+           "import TaskContext\n"
+           "    import ray._private.worker\n"
+           "    from ray.data import _internal\n")
+    assert private_ray_imports(src) == {
+        "ray.data._internal.execution.interfaces.task_context",
+        "ray.data._internal.execution.interfaces.task_context.TaskContext",
+        "ray.data._internal"}
+
+
+def test_engine_never_imports_private_ray_modules():
+    found = {str(p.relative_to(ROOT)): mods
+             for p in sorted(ENGINE.rglob("*.py"))
+             if (mods := private_ray_imports(p.read_text()))}
+    assert not found, found

@@ -93,6 +93,39 @@ def test_error_paths_raise(bad, decoder):
         decoder(bad)
 
 
+def _bomb_idat() -> bytes:
+    """A deflate stream of 64 MiB of zeros, about 65 KB long."""
+    deflate = zlib.compressobj(9)
+    zeros = bytes(1 << 20)
+    return b"".join(deflate.compress(zeros) for _ in range(64)) + \
+        deflate.flush()
+
+
+def _png_16x16(idat: bytes) -> bytes:
+    ihdr = struct.pack(">IIBBBBB", 16, 16, 8, 2, 0, 0, 0)
+    return (PNG_SIG + _chunk(b"IHDR", ihdr) + _chunk(b"IDAT", idat)
+            + _chunk(b"IEND", b""))
+
+
+def test_png_bomb_inflates_no_further_than_declared():
+    import tracemalloc
+
+    idat = _bomb_idat()
+    bomb = _png_16x16(idat)
+    assert len(bomb) < 70_000
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="scanline payload size mismatch"):
+            decode_png(bomb)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    # the same stream cut short is still a truncated one, not an oversize
+    with pytest.raises(ValueError, match="inflate failed.*truncated"):
+        decode_png(_png_16x16(idat[:len(idat) // 2]))
+
+
 def test_decode_image_magic_routing():
     from engine.multimodal import MediaDecodeError
 

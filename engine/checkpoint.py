@@ -7,54 +7,50 @@ SURVEY.md §4.2 items 4-5.
 Layout (resumable output — one directory per partition, never one giant file):
 
     out_dir/
-      part-00007/[bucket=K/]data.parquet  extracted rows of partition 7
-      _manifest/part-00007.json           lineage + metrics, written AFTER data
+      part-00007/[bucket=K/]00000.parquet  extracted rows of partition 7
+      _manifest/part-00007.json            lineage + metrics, written AFTER data
 
 Partitions are **file-granular**: the input parquet files are split into
 ``num_partitions`` contiguous groups, so a resume re-reads only the files of
-the partitions it still owes.
+the partitions it still owes. A partition is the unit that commits and
+resumes; the cluster, not ``num_partitions``, sets how many tasks run.
 
-Execution is ONE Ray Data stage with one stateless task per pending
-partition, so a partition is the unit that runs, retries and commits, and
-the fixed cost of a Ray task is paid once per partition:
+Execution is ONE Ray Data stage of stateless tasks, one per pending
+partition, or, while that would leave CPUs idle, one per contiguous run of
+its files (``_plan_tasks``):
 
-    from_items(pending partition ids)
-      → map_batches(_extract_partition, batch_size=None): each task streams
-        its partition's files with ``ParquetFile.iter_batches`` (``url`` and
-        ``html`` only, ``batch_size`` rows at a time), runs ``extract_batch``
-        on each batch, and writes ``part-P.tmp/[bucket=K/]data.parquet`` —
-        one file per (partition, url-hash bucket) with the per-column
-        policy ``schema.EXTRACTED_PARQUET``. Pages and extracted rows never
-        enter the object store; only a one-row (partition, rows, rows_ok)
-        count table does
-      → driver: when partition P's count reaches its input's Parquet-footer
-        row count, renames ``part-P.tmp`` to ``part-P``, then writes P's
-        manifest.
+    from_items(one row per task: partition, first file index, files)
+      → map_batches(_extract_files, batch_size=None): a task streams its
+        files with ``ParquetFile.iter_batches`` (``url`` and ``html`` only),
+        runs ``extract_batch`` per batch and writes one
+        ``part-P.tmp/[bucket=K/]<first>.parquet`` per url-hash bucket with
+        the per-column policy ``schema.EXTRACTED_PARQUET``; it returns one
+        (partition, rows, rows_ok) row, so pages and extracted rows never
+        enter the object store
+      → driver: sums the counts per partition; once P's last task has
+        reported, renames ``part-P.tmp`` to ``part-P``, then writes P's
+        manifest. Readers take every ``*.parquet`` file under ``part-P``.
 
-Readers walk every ``*.parquet`` file of a committed partition, so
-partitions an earlier run wrote under an older policy, or as several
-``<task>-<seq>.parquet`` files, read back as EXTRACTED beside new ones.
+Memory bound: a task starts a new row group only when its buffered output
+passes Ray's ``DataContext.target_max_block_size``, so it holds about one
+Ray block, and a task of ordinary size writes one row group per file.
 
-Memory bound: a task buffers its extracted rows and flushes them as one
-row group per bucket file only when the buffer passes Ray's
-``DataContext.target_max_block_size``, so a task holds about one Ray block
-of output, and a partition of ordinary size writes one row group per file.
+Atomicity: the driver wipes each pending ``part-P.tmp/`` before the stage.
+A task's file names depend only on its files (a row's bucket is a hash of
+its url), so a retried task overwrites its failed attempt's files instead
+of duplicating rows. A crash at any point leaves each partition either
+committed (data dir + manifest) or not done (a ``.tmp`` dir, or a data dir
+with no manifest), which the next run wipes before it writes.
 
-Retry and atomicity: a task wipes its own ``part-P.tmp/`` before it writes,
-and file names are deterministic, so a retried task rewrites the partition
-instead of duplicating rows. A crash at any point leaves each partition
-either committed (data dir + manifest) or not done (a ``.tmp`` dir, or a
-data dir with no manifest), which the next run wipes before it writes.
-
-Row-count guard: a partition whose task reports more or fewer rows than its
+Row-count guard: a partition whose tasks report more or fewer rows than its
 input's footer count is never committed, and the run raises once every
 other partition has reported.
 
-Manifest: ``rows_in``/``rows_ok``/``rows_err`` are the partition task's
+Manifest: ``rows_in``/``rows_ok``/``rows_err`` sum the partition's task
 counts (no re-read of the committed ``status`` column). ``bytes_in`` sums the
 sizes of the partition's input files and ``bytes_out`` those of its
 committed Parquet files, read at commit time — exact under Ray task
-retries, which rewrite the partition. ``wall_s`` is the seconds from the
+retries, which overwrite their own files. ``wall_s`` is the seconds from the
 start of the run to that partition's commit — partitions share one
 execution, so their walls overlap rather than add up.
 
@@ -65,6 +61,7 @@ manifest is tiny (one row per partition).
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import json
 import os
@@ -142,7 +139,7 @@ def _parquet_files(root: str) -> list[str]:
     return sorted(out)
 
 
-# what a partition task returns: rows written per partition
+# what a task returns: the rows it wrote for its partition
 _COUNTS = pa.schema([
     pa.field("partition", pa.int32()),
     pa.field("rows", pa.int64()),
@@ -154,13 +151,30 @@ def _footer_rows(files: list[str]) -> int:
     return sum(pq.read_metadata(f).num_rows for f in files)
 
 
-def _write_partition(files: list[str], tmp_dir: str, cfg: PipelineConfig,
-                     url_hash_buckets: int) -> tuple[int, int]:
-    """Extract ``files`` into ``tmp_dir/[bucket=K/]data.parquet``, wiping
-    whatever an earlier attempt left there; returns (rows, rows_ok)."""
+def _plan_tasks(todo: dict[int, list[str]], cpus: int) -> list[dict]:
+    """One task per pending partition, or, while that leaves CPUs idle, per
+    run of its files (at most ``ceil(cpus / partitions)`` runs): partition,
+    index of the first file in it (names the output files), files."""
+    split = -(-cpus // len(todo))
+    tasks = []
+    for pid, files in todo.items():
+        runs = min(split, len(files))
+        for i in range(runs):
+            lo, hi = i * len(files) // runs, (i + 1) * len(files) // runs
+            tasks.append({"partition": pid, "first": lo,
+                          "files": files[lo:hi]})
+    return tasks
+
+
+def _extract_files(batch: pa.Table, out_dir: str, cfg: PipelineConfig,
+                   url_hash_buckets: int) -> pa.Table:
+    """The task: extracts the files of the one task row in ``batch`` into
+    ``part-P.tmp/[bucket=K/]<first>.parquet`` and returns its _COUNTS row."""
     from engine.partition import add_url_hash_batch
 
-    shutil.rmtree(tmp_dir, ignore_errors=True)
+    (task,) = batch.to_pylist()
+    tmp_dir = part_dir(out_dir, task["partition"]) + ".tmp"
+    name = f"{task['first']:05d}.parquet"
     limit = DataContext.get_current().target_max_block_size
     buffered: dict[str, list[pa.Table]] = {}  # group dir → extracted rows
     buffered_bytes = rows = ok = 0
@@ -172,13 +186,13 @@ def _write_partition(files: list[str], tmp_dir: str, cfg: PipelineConfig,
                 if group_dir not in writers:
                     os.makedirs(group_dir, exist_ok=True)
                     writers[group_dir] = open_files.enter_context(
-                        pq.ParquetWriter(
-                            os.path.join(group_dir, "data.parquet"),
-                            tables[0].schema, **EXTRACTED_PARQUET))
+                        pq.ParquetWriter(os.path.join(group_dir, name),
+                                         tables[0].schema,
+                                         **EXTRACTED_PARQUET))
                 writers[group_dir].write_table(pa.concat_tables(tables))
             buffered.clear()
 
-        for path in files:
+        for path in task["files"]:
             for pages in pq.ParquetFile(path).iter_batches(
                     batch_size=cfg.batch_size, columns=["url", "html"]):
                 out = extract_batch(pa.Table.from_batches([pages]),
@@ -199,32 +213,18 @@ def _write_partition(files: list[str], tmp_dir: str, cfg: PipelineConfig,
                     flush()
                     buffered_bytes = 0
         flush()
-    return rows, ok
+    return pa.table({"partition": [task["partition"]], "rows": [rows],
+                     "rows_ok": [ok]}, schema=_COUNTS)
 
 
-def _extract_partition(batch: pa.Table, files_of: dict[int, list[str]],
-                       out_dir: str, cfg: PipelineConfig,
-                       url_hash_buckets: int) -> pa.Table:
-    """The partition task: writes each partition in ``batch`` (one, as
-    run_extraction plans it) to ``part-P.tmp`` and returns its _COUNTS
-    row."""
-    pids = batch["item"].to_pylist()
-    counts = [_write_partition(files_of[pid], part_dir(out_dir, pid) + ".tmp",
-                               cfg, url_hash_buckets) for pid in pids]
-    return pa.table({"partition": pids,
-                     "rows": [rows for rows, _ in counts],
-                     "rows_ok": [ok for _, ok in counts]}, schema=_COUNTS)
-
-
-def _extract_partitions(files_of: dict[int, list[str]], out_dir: str,
-                        cfg: PipelineConfig,
-                        url_hash_buckets: int) -> "ray.data.Dataset":
-    """One _extract_partition task per partition of ``files_of``; the
-    Dataset's rows are their _COUNTS rows."""
-    return ray.data.from_items(
-        sorted(files_of), override_num_blocks=len(files_of)).map_batches(
-        _extract_partition,
-        fn_kwargs={"files_of": files_of, "out_dir": out_dir, "cfg": cfg,
+def _extraction(tasks: list[dict], out_dir: str, cfg: PipelineConfig,
+                url_hash_buckets: int) -> "ray.data.Dataset":
+    """One _extract_files Ray task per task row; the Dataset's rows are
+    their _COUNTS rows."""
+    tasks_ds = ray.data.from_items(tasks, override_num_blocks=len(tasks))
+    return tasks_ds.map_batches(
+        _extract_files,
+        fn_kwargs={"out_dir": out_dir, "cfg": cfg,
                    "url_hash_buckets": url_hash_buckets},
         batch_format="pyarrow",
         batch_size=None,
@@ -241,15 +241,13 @@ def run_extraction(
 ) -> pa.Table:
     """Checkpointed extraction over parquet shards; returns the manifest table.
 
-    Every pending partition runs as one Ray task of a single Dataset and is
-    committed on its own the moment its task reports (module docstring:
-    commit protocol, row-count guard, manifest fields); partitions an
-    earlier run committed are skipped when ``resume`` is true. The number of
-    tasks equals the number of pending partitions, so choose
-    ``num_partitions`` at least the cluster's CPU count, or CPUs sit idle.
-    ``url_hash_buckets > 0`` lays each partition out as ``bucket=K/``
-    directories by url hash (engine.partition, §4.2 item 1) with no shuffle.
-    A failed run raises after committing what finished; a rerun resumes.
+    Every pending partition runs in one Dataset and is committed on its own
+    once its last task reports (module docstring: tasks, commit protocol,
+    row-count guard, manifest fields); partitions an earlier run committed
+    are skipped when ``resume`` is true. ``url_hash_buckets > 0`` lays each
+    partition out as ``bucket=K/`` directories by url hash
+    (engine.partition, §4.2 item 1) with no shuffle. A failed run raises
+    after committing what finished; a rerun resumes.
     """
     t0 = time.time()
     if isinstance(input_paths, str):
@@ -266,15 +264,19 @@ def run_extraction(
             if pid not in done}
     if not todo:
         return manifest_table(out_dir)
-    for pid in todo:  # a dead run's data dir with no manifest
+    for pid in todo:  # leftovers of a dead run
+        shutil.rmtree(part_dir(out_dir, pid) + ".tmp", ignore_errors=True)
         shutil.rmtree(part_dir(out_dir, pid), ignore_errors=True)
     expected = {pid: _footer_rows(files) for pid, files in todo.items()}
-    written = dict.fromkeys(todo, 0)  # rows each partition's task reported
+    tasks = _plan_tasks(todo, int(ray.cluster_resources().get("CPU", 1)))
+    left = collections.Counter(task["partition"] for task in tasks)
+    written = {pid: [0, 0] for pid in todo}  # rows, rows_ok
 
-    def commit(pid: int, rows: int, ok: int) -> None:
+    def commit(pid: int) -> None:
         pdir = part_dir(out_dir, pid)
         os.makedirs(pdir + ".tmp", exist_ok=True)  # an empty input wrote none
         os.replace(pdir + ".tmp", pdir)
+        rows, ok = written[pid]
         _atomic_write_json(
             _manifest_path(out_dir, pid),
             {
@@ -291,15 +293,17 @@ def run_extraction(
             },
         )
 
-    counts = _extract_partitions(todo, out_dir, cfg, url_hash_buckets)
+    counts = _extraction(tasks, out_dir, cfg, url_hash_buckets)
     for batch in counts.iter_batches(batch_format="pyarrow", batch_size=None):
         columns = (batch[name].to_pylist() for name in _COUNTS.names)
         for pid, rows, ok in zip(*columns):
-            written[pid] = rows
-            if rows == expected[pid]:
-                commit(pid, rows, ok)
-    wrong = {pid: f"{written[pid]}/{expected[pid]}" for pid in todo
-             if written[pid] != expected[pid]}
+            written[pid][0] += rows
+            written[pid][1] += ok
+            left[pid] -= 1
+            if not left[pid] and written[pid][0] == expected[pid]:
+                commit(pid)
+    wrong = {pid: f"{written[pid][0]}/{expected[pid]}" for pid in todo
+             if written[pid][0] != expected[pid]}
     if wrong:
         raise RuntimeError(f"partitions whose written rows differ from their "
                            f"input rows (written/input): {wrong}")

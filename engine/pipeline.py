@@ -18,8 +18,8 @@ Scale notes (the 100 TB design, tested single-node):
   dynamic block splitting, not by static lanes chosen up front.
 - ``columns=["url", "html"]`` pruning at the read: extraction needs nothing else.
 - checkpointed output (engine.checkpoint.run_extraction) bypasses this
-  graph: one task per partition reads, extracts and writes that partition,
-  so its pages never enter the object store.
+  graph: each of its tasks reads, extracts and writes a run of one
+  partition's files, so its pages never enter the object store.
 """
 
 from __future__ import annotations

@@ -67,15 +67,14 @@ def main() -> None:
     headline = round(time.time() - t0, 2)
     peak_headline = peak["used"]
 
-    # checkpointed variant: one task per partition, so one partition per
-    # shard keeps 32 CPUs busy (16 would leave half of them idle)
+    # checkpointed variant: 16 partitions over the 64 shards, one execution
     from engine.checkpoint import run_extraction
 
     ck_dir = "/tmp/graft_soak_ckpt"
     shutil.rmtree(ck_dir, ignore_errors=True)
     peak["used"] = 0.0
     t0 = time.time()
-    manifest = run_extraction(PAGES_DIR, ck_dir, cfg, num_partitions=64)
+    manifest = run_extraction(PAGES_DIR, ck_dir, cfg, num_partitions=16)
     ckpt = round(time.time() - t0, 2)
     stop.set()
     mt.join(timeout=2)

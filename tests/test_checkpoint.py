@@ -273,16 +273,38 @@ def test_wrong_schema_shard_fails_and_resume_heals(ray_session, tmp_path):
     assert _sorted_rows(out) == _sorted_rows(ref_out)
 
 
-def test_one_task_per_pending_partition(ray_session, tmp_path, monkeypatch):
-    """The run is one map operator over the pending partition ids, with no
-    Parquet read stage, and it runs one task per pending partition."""
+def test_plan_tasks_fill_the_cpus_with_file_runs():
+    """One task per pending partition, split into runs of its files only
+    while CPUs would sit idle; every file is in exactly one task, in order."""
+    files = [f"f{i:02d}" for i in range(64)]
+    parts = dict(enumerate(cp.plan_partitions(files, 16)))
+
+    def shape(todo, cpus):
+        tasks = cp._plan_tasks(todo, cpus)
+        for pid, pfiles in todo.items():
+            mine = [t for t in tasks if t["partition"] == pid]
+            assert [f for t in mine for f in t["files"]] == pfiles
+            assert all(pfiles[t["first"]] == t["files"][0] for t in mine)
+        return len(tasks)
+
+    assert shape(parts, 1) == 16  # never fewer tasks than partitions
+    assert shape(parts, 32) == 32  # 16 partitions of 4 files: 2 runs each
+    assert shape(parts, 128) == 64  # at most one task per file
+    assert shape({3: parts[3], 9: parts[9]}, 32) == 8  # a resume of 2
+    assert shape({0: ["a", "b"], 1: ["c", "d"], 2: ["e", "f"],
+                  3: ["g", "h"]}, 1) == 4
+
+
+def test_tasks_per_pending_partition_fill_the_cpus(ray_session, tmp_path,
+                                                   monkeypatch):
+    """The run is one map operator over task rows, with no Parquet read
+    stage. On the 4-CPU test cluster, partitions of one file run one task
+    each; partitions of two files split into a task per file, fresh and on
+    resume."""
     import re
 
-    src = str(tmp_path / "pages")
-    out = str(tmp_path / "out")
-    write_pages_parquet(src, 40, seed=28, num_files=2)
     built = []
-    build = cp._extract_partitions
+    build = cp._extraction
 
     def record(*args):
         built.append(build(*args))
@@ -295,48 +317,96 @@ def test_one_task_per_pending_partition(ray_session, tmp_path, monkeypatch):
         assert not any("ReadParquet" in op for op in operators), operators
         maps = [op for op in operators if "MapBatches" in op]
         assert len(maps) == 1, operators
-        assert "_extract_partition" in maps[0], operators
+        assert "_extract_files" in maps[0], operators
         return int(re.search(r"(\d+) tasks executed", maps[0]).group(1))
 
-    monkeypatch.setattr(cp, "_extract_partitions", record)
-    cp.run_extraction(src, out, CFG, num_partitions=2, url_hash_buckets=8)
-    assert len(built) == 1  # one execution for every partition
-    assert tasks_run() == 2
+    def file_names(out: str) -> set[str]:
+        return {os.path.basename(f) for pid in (0, 1)
+                for f in cp._parquet_files(cp.part_dir(out, pid))}
+
+    monkeypatch.setattr(cp, "_extraction", record)
+    for num_files, tasks, names in [
+            (2, 2, {"00000.parquet"}),
+            (4, 4, {"00000.parquet", "00001.parquet"})]:
+        src = str(tmp_path / f"pages{num_files}")
+        out = str(tmp_path / f"out{num_files}")
+        write_pages_parquet(src, 40, seed=28, num_files=num_files)
+        cp.run_extraction(src, out, CFG, num_partitions=2, url_hash_buckets=8)
+        assert tasks_run() == tasks
+        assert file_names(out) == names
     os.remove(os.path.join(out, "_manifest", "part-00000.json"))
     cp.run_extraction(src, out, CFG, num_partitions=2, url_hash_buckets=8)
-    assert len(built) == 2
-    assert tasks_run() == 1
+    assert len(built) == 3  # one execution per run
+    assert tasks_run() == 2
     assert cp.done_partitions(out) == {0, 1}
 
 
-def test_partition_task_rewrites_its_tmp_dir(tmp_path):
-    """A retried task wipes what an earlier attempt left in its
-    ``part-P.tmp`` and writes one single-row-group file per bucket; called
-    in this process, no Ray involved."""
+def test_retried_task_overwrites_its_files(tmp_path):
+    """A task called again over the same files overwrites the files its
+    first attempt wrote, and writes beside its sibling's; one row group per
+    file. Called in this process, no Ray involved."""
     src = str(tmp_path / "pages")
     out = str(tmp_path / "out")
     write_pages_parquet(src, 40, seed=32, num_files=2)
     files = sorted(os.path.join(src, n) for n in os.listdir(src))
     tmp_dir = cp.part_dir(out, 0) + ".tmp"
-    stale = os.path.join(tmp_dir, "bucket=9", "stale.parquet")
+    tasks = cp._plan_tasks({0: files}, cpus=2)
+    assert [t["first"] for t in tasks] == [0, 1]
     for attempt in range(2):
-        os.makedirs(os.path.dirname(stale), exist_ok=True)
-        pq.write_table(pa.table({"url": ["stale"]}), stale)
-        counts = cp._extract_partition(pa.table({"item": [0]}), {0: files},
-                                       out, CFG, url_hash_buckets=8)
-        assert counts.to_pylist() == [
-            {"partition": 0, "rows": 40,
-             "rows_ok": counts["rows_ok"][0].as_py()}], attempt
-        assert not os.path.exists(os.path.dirname(stale)), attempt
+        for task in tasks:
+            counts = cp._extract_files(pa.Table.from_pylist([task]), out, CFG,
+                                       url_hash_buckets=8)
+            assert counts.to_pylist() == [
+                {"partition": 0, "rows": 20,
+                 "rows_ok": counts["rows_ok"][0].as_py()}], attempt
         buckets = sorted(os.listdir(tmp_dir))
         assert buckets and all(b.startswith("bucket=") for b in buckets)
         for bucket in buckets:
             names = os.listdir(os.path.join(tmp_dir, bucket))
-            assert len(names) == 1, (bucket, names)
-            meta = pq.read_metadata(os.path.join(tmp_dir, bucket, names[0]))
-            assert meta.num_row_groups == 1, bucket
+            assert set(names) <= {"00000.parquet", "00001.parquet"}, names
+            for name in names:
+                meta = pq.read_metadata(os.path.join(tmp_dir, bucket, name))
+                assert meta.num_row_groups == 1, (bucket, name)
         assert sum(pq.read_metadata(f).num_rows
-                   for f in cp._parquet_files(tmp_dir)) == 40
+                   for f in cp._parquet_files(tmp_dir)) == 40, attempt
+    with pytest.raises(ValueError):  # one task row per Ray task, no more
+        cp._extract_files(pa.Table.from_pylist(tasks), out, CFG, 8)
+
+
+def test_row_count_guard_waits_for_every_task(ray_session, tmp_path,
+                                              monkeypatch):
+    """A partition split into two tasks commits only once both report: its
+    first task alone matching the (skewed) footer count commits nothing."""
+    src = str(tmp_path / "pages")
+    out = str(tmp_path / "out")
+    write_pages_parquet(src, 40, seed=35, num_files=4)  # 10 rows a file
+    second = sorted(os.listdir(src))[2]  # partition 1's first file
+    footer_rows = cp._footer_rows
+    monkeypatch.setattr(
+        cp, "_footer_rows",
+        lambda files: footer_rows(files)
+        - (10 if os.path.basename(files[0]) == second else 0))
+    with pytest.raises(RuntimeError, match="20/10"):
+        cp.run_extraction(src, out, CFG, num_partitions=2)
+    assert cp.done_partitions(out) == {0}
+    assert not os.path.exists(cp.part_dir(out, 1))
+
+
+def test_stale_tmp_files_are_wiped_before_the_run(ray_session, tmp_path):
+    """A file a dead run left in a pending partition's ``part-P.tmp`` is
+    gone after the run, and the committed rows equal a clean run's."""
+    src = str(tmp_path / "pages")
+    write_pages_parquet(src, 40, seed=36, num_files=2)
+    ref_out = str(tmp_path / "ref")
+    cp.run_extraction(src, ref_out, CFG, num_partitions=1, url_hash_buckets=8)
+    out = str(tmp_path / "out")
+    stale = os.path.join(cp.part_dir(out, 0) + ".tmp", "bucket=9",
+                         "stale.parquet")
+    os.makedirs(os.path.dirname(stale))
+    pq.write_table(pa.table({"url": ["stale"]}), stale)
+    cp.run_extraction(src, out, CFG, num_partitions=1, url_hash_buckets=8)
+    assert not os.path.exists(os.path.join(cp.part_dir(out, 0), "bucket=9"))
+    assert _sorted_rows(out) == _sorted_rows(ref_out)
 
 
 def test_small_block_size_adds_row_groups(ray_session, tmp_path, monkeypatch):
@@ -393,7 +463,7 @@ def test_resume_over_the_per_block_file_layout(ray_session, tmp_path,
                    for f in cp._parquet_files(cp.part_dir(out, pid))}
              for pid in (0, 1)}
     assert names[0] == {"00003-00000.parquet", "00003-00001.parquet"}
-    assert names[1] == {"data.parquet"}
+    assert names[1] == {"00000.parquet"}
     assert cp.done_partitions(out) == {0, 1}
     assert _sorted_rows(out) == _sorted_rows(ref_out)
 

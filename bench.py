@@ -94,22 +94,21 @@ def run_bench() -> dict:
         if f.endswith(".parquet")
     )
 
-    from engine.pipeline import PipelineConfig, extract_from_parquet
+    from engine.pipeline import (PipelineConfig, extract_from_parquet,
+                                 parquet_inputs)
 
     cfg = PipelineConfig(batch_size=64)
+    # warm-up, untimed: one file per CPU, one task each, so every worker
+    # process pays its import cost and the OS page cache is hot; the timed
+    # run then measures steady-state throughput (what a multi-hour 100 TB
+    # job looks like). It runs to the end: a ``limit`` would end it by
+    # cancelling tasks.
+    extract_from_parquet(parquet_inputs(pages_dir)[:NUM_CPUS], cfg).count()
 
     if os.environ.get("RAY_GRAFT_SKIP_HEADLINE"):
-        # query-iteration mode: warm the worker pool cheaply, skip the
-        # headline extract (dev loop only — the driver never sets this)
-        extract_from_parquet(pages_dir, cfg).limit(NUM_CPUS * 64).count()
+        # query-iteration mode (dev loop only): skip the headline extract
         headline = float("nan")
     else:
-        # warm-up: untimed pass over enough rows that every worker process
-        # pays its import cost + the OS page cache is hot; the timed run then
-        # measures steady-state throughput (what a multi-hour 100 TB job
-        # looks like).
-        extract_from_parquet(pages_dir, cfg).limit(NUM_CPUS * 64 * 2).count()
-
         # best-of-2: the box shows ±20-40 % ambient noise on single samples;
         # the min of two timed passes is the steady-state figure (same
         # policy as the --scaling legs). BOTH samples are reported so a

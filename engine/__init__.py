@@ -10,7 +10,7 @@ A from-scratch rebuild of the capabilities of the reference
 - ``engine.mdserialize`` — deterministic Markdown serializer with span records
 - ``engine.textops``     — exact wrapper-op semantics (chunking, format strips, ...)
 - ``engine.extract``     — per-row kernel + the ``extract_batch`` batch transform
-- ``engine.pipeline``    — the Dataset graph (read → gate → extract task → sink)
+- ``engine.pipeline``    — the Dataset graph (file morsels → read+extract → sink)
 - ``engine.checkpoint``  — partition manifests, resume filter, GC
 - ``engine.stats``       — job-stats / listing queries over the output tables
 - ``engine.dedup``       — exact + MinHash-LSH + SimHash + n-gram-Jaccard dedup

@@ -21,8 +21,9 @@ its files (``_plan_tasks``):
 
     from_items(one row per task: partition, first file index, files)
       → map_batches(_extract_files, batch_size=None): a task streams its
-        files with ``ParquetFile.iter_batches`` (``url`` and ``html`` only),
-        runs ``extract_batch`` per batch and writes one
+        files through ``pipeline.read_extract`` (the plain pipeline's
+        read+extract core: ``url`` and ``html`` only, ``extract_batch``
+        per batch) and writes one
         ``part-P.tmp/[bucket=K/]<first>.parquet`` per url-hash bucket with
         the per-column policy ``schema.EXTRACTED_PARQUET``; it returns one
         (partition, rows, rows_ok) row, so pages and extracted rows never
@@ -75,8 +76,8 @@ import pyarrow.parquet as pq
 import ray.data
 from ray.data import DataContext
 
-from engine.extract import extract_batch
-from engine.pipeline import PipelineConfig
+from engine.pipeline import PipelineConfig, parquet_inputs, read_extract
+from engine.pipeline import parquet_files as _parquet_files
 from engine.schema import EXTRACTED_PARQUET, MANIFEST
 
 
@@ -130,13 +131,6 @@ def _atomic_write_json(path: str, payload: dict) -> None:
         f.flush()
         os.fsync(f.fileno())
     os.replace(tmp, path)
-
-
-def _parquet_files(root: str) -> list[str]:
-    out = []
-    for dirpath, _dirs, names in os.walk(root):
-        out.extend(os.path.join(dirpath, n) for n in names if n.endswith(".parquet"))
-    return sorted(out)
 
 
 # what a task returns: the rows it wrote for its partition
@@ -193,10 +187,7 @@ def _extract_files(batch: pa.Table, out_dir: str, cfg: PipelineConfig,
             buffered.clear()
 
         for path in task["files"]:
-            for pages in pq.ParquetFile(path).iter_batches(
-                    batch_size=cfg.batch_size, columns=["url", "html"]):
-                out = extract_batch(pa.Table.from_batches([pages]),
-                                    cfg.max_file_size, cfg.row_timeout_s)
+            for out in read_extract(path, cfg):
                 rows += out.num_rows
                 ok += out["status"].to_pylist().count("ok")
                 buffered_bytes += out.nbytes
@@ -250,17 +241,11 @@ def run_extraction(
     after committing what finished; a rerun resumes.
     """
     t0 = time.time()
-    if isinstance(input_paths, str):
-        input_paths = [
-            os.path.join(input_paths, n)
-            for n in os.listdir(input_paths)
-            if n.endswith(".parquet")
-        ]
     os.makedirs(_manifest_dir(out_dir), exist_ok=True)
     done = done_partitions(out_dir) if resume else set()
     todo = {pid: files
-            for pid, files in enumerate(plan_partitions(input_paths,
-                                                        num_partitions))
+            for pid, files in enumerate(plan_partitions(
+                parquet_inputs(input_paths), num_partitions))
             if pid not in done}
     if not todo:
         return manifest_table(out_dir)

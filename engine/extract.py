@@ -188,8 +188,8 @@ def extract_row(payload: bytes, max_file_size: int = MAX_FILE_SIZE,
         title, markdown, spans = result
     except PdfNeedsOcr as exc:
         # scanned/image-only PDF: not a failure — a routable work channel
-        # (an OCR-equipped deployment re-drives this partition; the OCR
-        # kernel itself is a clearly-marked stub, engine/pdfx/extract.py)
+        # (an OCR-equipped deployment re-drives these rows; no OCR engine
+        # ships with this package)
         return {**_EMPTY, "format": fmt, "status": "needs_ocr",
                 "error": str(exc)}
     except (PdfError, DocxError, _RowTimeout) as exc:
@@ -245,5 +245,6 @@ class ExtractActor:
 
 def extract_batch(batch: pa.Table, max_file_size: int = MAX_FILE_SIZE,
                   row_timeout_s: float = ROW_TIMEOUT_S) -> pa.Table:
-    """The pipeline's extract stage: one stateless task per batch."""
+    """The extract kernel of one batch, run by the pipeline's tasks
+    (engine/pipeline.py) once per batch."""
     return ExtractActor(max_file_size, row_timeout_s)(batch)

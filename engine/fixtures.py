@@ -671,6 +671,10 @@ def _w_footnote_ref(fid: int) -> str:
             f'<w:footnoteReference w:id="{fid}"/></w:r>')
 
 
+# zip entry time: fixed, not the clock, so a seed always gives the same bytes
+_ZIP_TIME = (1980, 1, 1, 0, 0, 0)
+
+
 def build_docx(body_xml: str, core_title: str | None = None,
                core_creator: str | None = None,
                numbering_xml: str | None = None,
@@ -681,30 +685,29 @@ def build_docx(body_xml: str, core_title: str | None = None,
         '<w:document xmlns:w="http://schemas.openxmlformats.org/wordprocessingml/2006/main">'
         f"<w:body>{body_xml}</w:body></w:document>"
     )
+    core = None
+    if core_title is not None or core_creator is not None:
+        core = (
+            '<?xml version="1.0" encoding="UTF-8" standalone="yes"?>'
+            '<cp:coreProperties xmlns:cp="http://schemas.openxmlformats.'
+            'org/package/2006/metadata/core-properties" '
+            'xmlns:dc="http://purl.org/dc/elements/1.1/">'
+            + (f"<dc:title>{_xml_escape(core_title)}</dc:title>"
+               if core_title is not None else "")
+            + (f"<dc:creator>{_xml_escape(core_creator)}</dc:creator>"
+               if core_creator is not None else "")
+            + "</cp:coreProperties>"
+        )
+    entries = {"[Content_Types].xml": _CONTENT_TYPES, "_rels/.rels": _RELS,
+               "word/document.xml": doc, "word/numbering.xml": numbering_xml,
+               "word/footnotes.xml": footnotes_xml,
+               "word/header1.xml": header_xml, "docProps/core.xml": core}
     buf = io.BytesIO()
-    with zipfile.ZipFile(buf, "w", zipfile.ZIP_DEFLATED) as zf:
-        zf.writestr("[Content_Types].xml", _CONTENT_TYPES)
-        zf.writestr("_rels/.rels", _RELS)
-        zf.writestr("word/document.xml", doc.encode("utf-8"))
-        if numbering_xml is not None:
-            zf.writestr("word/numbering.xml", numbering_xml.encode("utf-8"))
-        if footnotes_xml is not None:
-            zf.writestr("word/footnotes.xml", footnotes_xml.encode("utf-8"))
-        if header_xml is not None:
-            zf.writestr("word/header1.xml", header_xml.encode("utf-8"))
-        if core_title is not None or core_creator is not None:
-            core = (
-                '<?xml version="1.0" encoding="UTF-8" standalone="yes"?>'
-                '<cp:coreProperties xmlns:cp="http://schemas.openxmlformats.'
-                'org/package/2006/metadata/core-properties" '
-                'xmlns:dc="http://purl.org/dc/elements/1.1/">'
-                + (f"<dc:title>{_xml_escape(core_title)}</dc:title>"
-                   if core_title is not None else "")
-                + (f"<dc:creator>{_xml_escape(core_creator)}</dc:creator>"
-                   if core_creator is not None else "")
-                + "</cp:coreProperties>"
-            )
-            zf.writestr("docProps/core.xml", core.encode("utf-8"))
+    with zipfile.ZipFile(buf, "w") as zf:
+        for name, data in entries.items():
+            if data is not None:  # writestr encodes a str as UTF-8
+                zf.writestr(zipfile.ZipInfo(name, _ZIP_TIME), data,
+                            zipfile.ZIP_DEFLATED)
     return buf.getvalue()
 
 
@@ -799,7 +802,7 @@ def make_pathological(rng: random.Random, variant: int,
     if v == 4:  # zip that is not a DOCX
         buf = io.BytesIO()
         with zipfile.ZipFile(buf, "w") as zf:
-            zf.writestr("readme.txt", "not a docx")
+            zf.writestr(zipfile.ZipInfo("readme.txt", _ZIP_TIME), "not a docx")
         return buf.getvalue(), ""
     # plain .txt-style payload (reference's unsupported test_document.txt analog)
     return (

@@ -12,18 +12,6 @@ from engine.pdfx.objects import (PdfError, PdfNeedsOcr, Stream, get_pages,
                                  page_content, parse_objects, resolve)
 
 
-def ocr_image(image_bytes: bytes) -> str:
-    """STUB — the OCR kernel for scanned-page images (real impl: tesseract /
-    a vision model, per the reference's Dockerfile OCR dependencies; no OCR
-    engine ships in this container). The pipeline never calls this blindly:
-    image-only PDFs are routed to the status='needs_ocr' channel, and a
-    deployment with an OCR engine re-drives that partition through an
-    actor-pool stage whose __init__ loads the engine once."""
-    raise NotImplementedError(
-        "OCR engine not available in this environment; route "
-        "status='needs_ocr' rows to an OCR-equipped deployment")
-
-
 def _has_image_xobjects(objects: dict, pages: list[dict]) -> bool:
     for page in pages:
         res = resolve(objects, page.get("Resources"))

@@ -13,23 +13,31 @@ form ran ~3× faster than an ActorPoolMapOperator over the same transform
 (8.1 s vs 26 s) because the task pool uses every CPU and skips pool
 scheduling, so this stage has no actor layout.
 
-Scale notes (the 100 TB design, tested single-node):
-- a SINGLE scan: per-row skew is absorbed by small row-batches and Ray's
-  dynamic block splitting, not by static lanes chosen up front.
-- ``columns=["url", "html"]`` pruning at the read: extraction needs nothing else.
-- checkpointed output (engine.checkpoint.run_extraction) bypasses this
-  graph: each of its tasks reads, extracts and writes a run of one
-  partition's files, so its pages never enter the object store.
+Plan of ``extract_from_parquet``: ONE stage, ``from_items(morsels)`` →
+``map_batches(extract_batches, batch_size=None)``. A task reads its morsel's
+``url`` and ``html`` itself, so pages never enter the object store. A morsel
+(``plan_morsels``) is a run of consecutive files, at least min(CPUs, files)
+of them, that ends once its pages reach ``DataContext.target_min_block_size``,
+because Ray's fused ``Write`` holds a task's whole output. A file is never
+split. The plan's throughput on many CPUs is unmeasured.
 """
 
 from __future__ import annotations
 
+import os
+from collections.abc import Iterator
 from dataclasses import dataclass
 
+import pyarrow as pa
+import pyarrow.parquet as pq
+
 import ray.data
+from ray.data import DataContext
 
 from engine.extract import ROW_TIMEOUT_S, extract_batch
 from engine.schema import MAX_FILE_SIZE
+
+_PAGE_COLUMNS = ["url", "html"]  # all that extraction reads
 
 
 @dataclass(frozen=True)
@@ -41,6 +49,27 @@ class PipelineConfig:
     # same 300 s default, app/main.py:208 — SURVEY.md §2.12 deviation)
     row_timeout_s: float = ROW_TIMEOUT_S
     batch_size: int = 64  # rows per extract batch
+
+
+def parquet_files(root: str) -> list[str]:
+    """The sorted ``*.parquet`` files under directory ``root``, nested
+    directories included."""
+    out = []
+    for dirpath, _dirs, names in os.walk(root):
+        out.extend(os.path.join(dirpath, n) for n in names
+                   if n.endswith(".parquet"))
+    return sorted(out)
+
+
+def parquet_inputs(source: str | list[str]) -> list[str]:
+    """The input files of ``source``, a path or a list of paths: a local
+    directory stands for its ``parquet_files``, any other path for one file."""
+    paths = [source] if isinstance(source, str) else source
+    files = [f for p in paths
+             for f in (parquet_files(p) if os.path.isdir(p) else [p])]
+    if not files:
+        raise ValueError(f"no Parquet files in {source!r}")
+    return files
 
 
 def read_pages(source: str | list[str], columns: list[str] | None = None,
@@ -61,9 +90,60 @@ def extract_pages(pages: "ray.data.Dataset",
     )
 
 
+def read_extract(path: str, cfg: PipelineConfig) -> Iterator[pa.Table]:
+    """The read+extract core of both entry points: ``extract_batch`` of each
+    ``cfg.batch_size``-row batch of one file's ``url`` and ``html``."""
+    with pq.ParquetFile(path) as f:
+        for pages in f.iter_batches(batch_size=cfg.batch_size,
+                                    columns=_PAGE_COLUMNS):
+            yield extract_batch(pa.Table.from_batches([pages]),
+                                cfg.max_file_size, cfg.row_timeout_s)
+
+
+def _page_bytes(path: str) -> int:
+    """Decoded bytes of a file's ``url`` and ``html`` (its footer's sizes)."""
+    meta = pq.read_metadata(path)
+    return sum(rg.column(j).total_uncompressed_size
+               for rg in map(meta.row_group, range(meta.num_row_groups))
+               for j in range(rg.num_columns)
+               if rg.column(j).path_in_schema in _PAGE_COLUMNS)
+
+
+def plan_morsels(files: list[str], cpus: int) -> list[list[str]]:
+    """One even run of files per CPU (or per file), each cut again wherever
+    its pages (footer sizes) reach ``target_min_block_size``."""
+    min_bytes = DataContext.get_current().target_min_block_size
+    k = min(cpus, len(files))
+    morsels = []
+    for i in range(k):
+        run, run_bytes = [], 0
+        for path in files[i * len(files) // k:(i + 1) * len(files) // k]:
+            run.append(path)
+            run_bytes += _page_bytes(path)
+            if run_bytes >= min_bytes:
+                morsels.append(run)
+                run, run_bytes = [], 0
+        if run:
+            morsels.append(run)
+    return morsels
+
+
+def extract_batches(morsels: pa.Table,
+                    cfg: PipelineConfig) -> Iterator[pa.Table]:
+    """The task: reads and extracts its morsels' files, one batch at a time."""
+    for files in morsels["files"].to_pylist():
+        for path in files:
+            yield from read_extract(path, cfg)
+
+
 def extract_from_parquet(source: str | list[str],
-                         cfg: PipelineConfig = PipelineConfig(),
-                         **read_kwargs) -> "ray.data.Dataset":
-    """Flagship read→extract pipeline with column pruning at the read."""
-    pages = read_pages(source, columns=["url", "html"], **read_kwargs)
-    return extract_pages(pages, cfg)
+                         cfg: PipelineConfig = PipelineConfig()
+                         ) -> "ray.data.Dataset":
+    """Flagship read→extract pipeline: one task per morsel (module
+    docstring)."""
+    morsels = plan_morsels(parquet_inputs(source),
+                           int(ray.cluster_resources().get("CPU", 1)))
+    morsels_ds = ray.data.from_items([{"files": m} for m in morsels],
+                                     override_num_blocks=len(morsels))
+    return morsels_ds.map_batches(extract_batches, fn_kwargs={"cfg": cfg},
+                                  batch_format="pyarrow", batch_size=None)

@@ -12,9 +12,9 @@ Scale plan: ``read_warc`` maps ``ray.data.read_binary_files`` with
 ``batch_size=1`` (one archive per task — archives are the natural work
 unit and record explosion is CPU-light vs the downstream parse), emitting
 (url, html, warc_date) rows that flow straight into
-``engine.pipeline.extract_from_parquet``'s map stages. The fixture writer
-lives here too so tests and benchmarks synthesize archives
-deterministically (no external data).
+``engine.pipeline.extract_pages``. The fixture writer lives here too so
+tests and benchmarks synthesize archives deterministically (no external
+data).
 """
 
 from __future__ import annotations

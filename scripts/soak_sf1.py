@@ -54,11 +54,13 @@ def main() -> None:
         pq.read_metadata(os.path.join(PAGES_DIR, f)).num_rows
         for f in os.listdir(PAGES_DIR) if f.endswith(".parquet"))
 
-    from engine.pipeline import PipelineConfig, extract_from_parquet
+    from engine.pipeline import (PipelineConfig, extract_from_parquet,
+                                 parquet_inputs)
 
     cfg = PipelineConfig(batch_size=64)
-    # warm the worker pool (import cost) before timing
-    extract_from_parquet(PAGES_DIR, cfg).limit(NUM_CPUS * 64).count()
+    # warm the worker pool (import cost) before timing: one file per CPU,
+    # run to the end rather than cut short by a cancelling ``limit``
+    extract_from_parquet(parquet_inputs(PAGES_DIR)[:NUM_CPUS], cfg).count()
 
     out_dir = "/tmp/graft_soak_headline"
     shutil.rmtree(out_dir, ignore_errors=True)

@@ -205,3 +205,25 @@ def test_docx_junk_ids_degrade_not_raise():
                          footnotes_xml=bad_footnotes)
     md = md_of_docx(payload)
     assert "- list item" in md  # parity fallback (numId 1 odd → bullet)
+
+
+def test_generated_pages_do_not_depend_on_the_clock(tmp_path, monkeypatch):
+    """A seed writes the same Parquet bytes at any wall-clock time: every
+    zip entry of the DOCX and non-DOCX zip fixtures has a fixed timestamp.
+    100 rows: DOCX pages start at row 90 (gen_page_row's slots)."""
+    import time
+
+    import pyarrow.parquet as pq
+
+    from engine.fixtures import write_pages_parquet
+
+    first = write_pages_parquet(str(tmp_path / "a"), 100, seed=7, num_files=2)
+    later = time.time() + 86_400
+    monkeypatch.setattr(time, "time", lambda: later)
+    second = write_pages_parquet(str(tmp_path / "b"), 100, seed=7, num_files=2)
+    html = pq.read_table(tmp_path / "a", columns=["html"])["html"].to_pylist()
+    assert sum(page.startswith(b"PK") for page in html) >= 5  # zips present
+    assert len(first) == len(second) == 2
+    for a, b in zip(first, second):
+        with open(a, "rb") as fa, open(b, "rb") as fb:
+            assert fa.read() == fb.read()
